@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,6 +45,9 @@ namespace bench {
  * JSON next to the golden record.  Harnesses with nothing to trace
  * ignore them.
  *
+ * A bad command line (an unknown flag, or a flag without its path)
+ * prints a diagnostic to stderr and exits 2.
+ *
  * Usage in a harness main:
  * @code
  *   int main(int argc, char **argv) {
@@ -61,33 +66,22 @@ class GoldenOut
     {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            if (arg == "--golden-out") {
-                require(i + 1 < argc,
-                        "--golden-out needs a file path");
-                path_ = argv[++i];
-            } else if (arg == "--trace-out") {
-                require(i + 1 < argc,
-                        "--trace-out needs a file path");
-                tracePath_ = argv[++i];
-            } else if (arg == "--report-out") {
-                require(i + 1 < argc,
-                        "--report-out needs a file path");
-                reportPath_ = argv[++i];
-            } else if (arg == "--bench-out") {
-                require(i + 1 < argc,
-                        "--bench-out needs a file path");
-                benchPath_ = argv[++i];
-            } else if (arg == "--transcript-out") {
-                require(i + 1 < argc,
-                        "--transcript-out needs a file path");
-                transcriptPath_ = argv[++i];
-            } else {
-                fatal("unknown bench option '", arg,
-                      "' (supported: --golden-out <path>, "
-                      "--trace-out <path>, --report-out <path>, "
-                      "--bench-out <path>, --transcript-out "
-                      "<path>)");
-            }
+            std::string *target = nullptr;
+            if (arg == "--golden-out")
+                target = &path_;
+            else if (arg == "--trace-out")
+                target = &tracePath_;
+            else if (arg == "--report-out")
+                target = &reportPath_;
+            else if (arg == "--bench-out")
+                target = &benchPath_;
+            else if (arg == "--transcript-out")
+                target = &transcriptPath_;
+            else
+                usageError("unknown bench option '" + arg + "'");
+            if (i + 1 == argc)
+                usageError(arg + " needs a file path");
+            *target = argv[++i];
         }
     }
 
@@ -139,6 +133,17 @@ class GoldenOut
     }
 
   private:
+    /** Reports a bad command line on stderr and exits 2. */
+    [[noreturn]] static void
+    usageError(const std::string &message)
+    {
+        std::cerr << "error: " << message
+                  << " (supported: --golden-out <path>, --trace-out "
+                     "<path>, --report-out <path>, --bench-out "
+                     "<path>, --transcript-out <path>)\n";
+        std::exit(2);
+    }
+
     std::string path_;
     std::string tracePath_;
     std::string reportPath_;

@@ -529,10 +529,44 @@ Explorer::best(const SweepResult &sweep_result)
 void
 Explorer::sortByTime(std::vector<SweepEntry> &entries)
 {
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const SweepEntry &a, const SweepEntry &b) {
-                         return timeKey(a) < timeKey(b);
-                     });
+    // Rank 16-byte (key, index) pairs rather than the entries
+    // themselves.  The index breaks key ties, so the order is exactly
+    // a stable sort's.  Keys are never NaN, so -0.0 and +0.0 tie.
+    struct Ranked
+    {
+        double key;
+        std::size_t index;
+    };
+    const std::size_t n = entries.size();
+    std::vector<Ranked> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = {timeKey(entries[i]), i};
+    std::sort(order.begin(), order.end(),
+              [](const Ranked &a, const Ranked &b) {
+                  return a.key != b.key ? a.key < b.key
+                                        : a.index < b.index;
+              });
+
+    // Apply the permutation in place, one cycle at a time: slot k
+    // takes the entry at order[k].index, so every entry moves once
+    // (plus one move per cycle through `held`).  A placed slot is
+    // marked by pointing its index at itself.
+    for (std::size_t start = 0; start < n; ++start) {
+        if (order[start].index == start)
+            continue;
+        SweepEntry held = std::move(entries[start]);
+        std::size_t slot = start;
+        for (;;) {
+            const std::size_t from = order[slot].index;
+            order[slot].index = slot;
+            if (from == start) {
+                entries[slot] = std::move(held);
+                break;
+            }
+            entries[slot] = std::move(entries[from]);
+            slot = from;
+        }
+    }
 }
 
 std::string

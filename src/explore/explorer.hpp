@@ -181,9 +181,12 @@ class Explorer
     best(const SweepResult &sweep_result);
 
     /**
-     * Sorts entries ascending by total training time; NaN-pinned
-     * entries sort to the end (NaN compares as +infinity, keeping
-     * the comparator a strict weak ordering).
+     * Sorts entries ascending by total training time.  The order is
+     * stable: entries with equal times (-0.0 equals +0.0) keep their
+     * input order.  NaN-pinned entries rank as +infinity, so they go
+     * last, in input order (interleaved by input position with any
+     * +infinity times).  Extra memory is 16 bytes per entry; each
+     * entry is moved once.
      */
     static void sortByTime(std::vector<SweepEntry> &entries);
 

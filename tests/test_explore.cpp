@@ -8,8 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/log.hpp"
 #include "explore/ablation.hpp"
@@ -177,6 +183,88 @@ TEST(ExplorerTest, NanPinnedEntriesRankLastAndNeverWinBest)
     EXPECT_TRUE(std::isfinite(result.entries.front().result.totalTime));
     EXPECT_TRUE(std::isnan(result.entries[2].result.totalTime));
     EXPECT_TRUE(std::isnan(result.entries[3].result.totalTime));
+}
+
+/**
+ * Seeded entries with heavy ties: 32 distinct finite times, NaN
+ * pins, +infinity (which ranks tied with NaN) and both signed zeros.
+ * Each entry carries its input position in batchSize, so reordering
+ * a tie changes the bytes.
+ */
+std::vector<SweepEntry>
+tiedEntries(std::size_t n, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<SweepEntry> entries(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t draw = rng();
+        SweepEntry &entry = entries[i];
+        entry.batchSize = static_cast<double>(i);
+        double &total = entry.result.totalTime;
+        switch (draw % 8) {
+        case 0:
+            total = std::numeric_limits<double>::quiet_NaN();
+            break;
+        case 1:
+            total = std::numeric_limits<double>::infinity();
+            break;
+        case 2:
+            total = -0.0;
+            break;
+        case 3:
+            total = 0.0;
+            break;
+        default:
+            total = static_cast<double>((draw >> 8) % 32) * 0.25;
+        }
+    }
+    return entries;
+}
+
+TEST(ExplorerTest, SortByTimeMatchesStableSortByteForByte)
+{
+    static_assert(std::is_trivially_copyable_v<SweepEntry>,
+                  "entries are compared with memcmp");
+    // The reference is the comparator sortByTime has always ranked
+    // by (NaN as +infinity) under std::stable_sort.
+    const auto stableReference = [](std::vector<SweepEntry> entries) {
+        std::stable_sort(
+            entries.begin(), entries.end(),
+            [](const SweepEntry &a, const SweepEntry &b) {
+                const auto key = [](const SweepEntry &e) {
+                    const double t = e.result.totalTime;
+                    return std::isnan(t)
+                               ? std::numeric_limits<double>::infinity()
+                               : t;
+                };
+                return key(a) < key(b);
+            });
+        return entries;
+    };
+    const auto expectSameBytes = [](const std::vector<SweepEntry> &a,
+                                     const std::vector<SweepEntry> &b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(SweepEntry)), 0)
+                << "first difference at position " << i;
+    };
+    // ~100k entries in random key order exercise long permutation
+    // cycles; the small sizes cover the edge cases.
+    for (const std::size_t n : {0, 1, 2, 3, 1000, 100003}) {
+        const std::uint64_t seeds = n < 1000 ? 8 : 2;
+        for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " seed=" + std::to_string(seed));
+            auto ranked = tiedEntries(n, seed);
+            const auto expected = stableReference(ranked);
+            Explorer::sortByTime(ranked);
+            expectSameBytes(ranked, expected);
+            // Sorted input is the identity permutation.
+            auto again = ranked;
+            Explorer::sortByTime(again);
+            expectSameBytes(again, expected);
+        }
+    }
 }
 
 TEST(ExplorerTest, TablesContainMappingsAndPhases)

@@ -115,6 +115,20 @@ TEST(AcceleratorTest, ValidationCatchesBadFields)
     });
 }
 
+} // namespace
+
+/**
+ * Print a preset parameter by name. Without this gtest prints its raw
+ * bytes, which hold heap addresses, so the listed test names would
+ * change from one process to the next.
+ */
+static void PrintTo(const AcceleratorConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
+namespace {
+
 /** Every preset validates; peak throughputs are positive. */
 class AccelPresetProperty
     : public ::testing::TestWithParam<AcceleratorConfig>

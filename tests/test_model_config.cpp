@@ -111,6 +111,20 @@ TEST(TransformerConfigTest, MoeParametersScaleWithExperts)
     EXPECT_LT(moe_params, 16.0 * dense_params);
 }
 
+} // namespace
+
+/**
+ * Print a preset parameter by name. Without this gtest prints its raw
+ * bytes, which hold heap addresses, so the listed test names would
+ * change from one process to the next.
+ */
+static void PrintTo(const TransformerConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
+namespace {
+
 /** Every preset must validate and have positive parameters. */
 class PresetProperty
     : public ::testing::TestWithParam<TransformerConfig>
