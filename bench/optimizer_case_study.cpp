@@ -102,13 +102,13 @@ main(int argc, char **argv)
     require(found.topK.size() == top_k, "optimizer returned ",
             found.topK.size(), " strategies, wanted ", top_k);
     for (std::size_t rank = 0; rank < top_k; ++rank)
-        require(sameEntry(found.topK[rank], sweep.entries[rank]),
-                "rank-", rank + 1,
-                " strategy differs from the exhaustive sweep: "
-                "optimizer says ",
-                found.topK[rank].mapping.toString(),
-                ", sweep says ",
-                sweep.entries[rank].mapping.toString());
+        if (!(sameEntry(found.topK[rank], sweep.entries[rank])))
+            fatal("rank-", rank + 1,
+                  " strategy differs from the exhaustive sweep: "
+                  "optimizer says ",
+                  found.topK[rank].mapping.toString(),
+                  ", sweep says ",
+                  sweep.entries[rank].mapping.toString());
 
     // Contract 2: the exact kernel ran on < 10 % of the grid.
     const auto &c = found.counters;

@@ -2,11 +2,9 @@
  * @file
  * FNV-1a 64-bit hashing (header-only).
  *
- * Used to key memoization caches on configuration state (e.g. the
- * `Explorer::sweepAll` result cache): the caller builds a canonical
- * description string of every input that influences the result and
- * hashes it.  FNV-1a is not cryptographic; cache users must verify
- * the full key on a hash hit to rule out collisions.
+ * Hashes the bit-pattern keys of core::SweepTermCache's term tables
+ * (core/batch_terms.cpp).  FNV-1a is not cryptographic; the tables
+ * compare full keys, so a collision only costs a probe.
  */
 
 #ifndef AMPED_COMMON_HASH_HPP
@@ -14,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace amped {
 
@@ -38,26 +35,11 @@ class Fnv1a
         }
     }
 
-    /** Mixes a string's bytes (no length prefix; caller delimits). */
-    void add(std::string_view text)
-    {
-        bytes(text.data(), text.size());
-    }
-
     std::uint64_t digest() const { return state_; }
 
   private:
     std::uint64_t state_ = kFnv1aOffsetBasis;
 };
-
-/** One-shot FNV-1a of a byte string. */
-inline std::uint64_t
-fnv1a64(std::string_view text)
-{
-    Fnv1a hasher;
-    hasher.add(text);
-    return hasher.digest();
-}
 
 } // namespace amped
 

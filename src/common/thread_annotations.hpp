@@ -22,8 +22,8 @@
  *    carries no capability attributes, so `GUARDED_BY` on members
  *    only analyzes when the mutex type itself is annotated — every
  *    mutex-protected class in the repo (`ThreadPool`,
- *    `obs::MetricsRegistry`, `serve::SweepCacheLru`, the Explorer
- *    memo cache) holds an `amped::Mutex`.  `MutexLock` exposes
+ *    `obs::MetricsRegistry`, `serve::SweepCacheLru`) holds an
+ *    `amped::Mutex`.  `MutexLock` exposes
  *    `lock()`/`unlock()` so `std::condition_variable_any` can wait
  *    on it directly; the analysis sees the capability held across
  *    the wait, which matches the cv contract (the lock is

@@ -6,13 +6,10 @@
 #include <limits>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "explore/batch.hpp"
@@ -43,199 +40,6 @@ timeKey(const SweepEntry &entry)
     return std::isnan(t) ? std::numeric_limits<double>::infinity()
                          : t;
 }
-
-// ---------------------------------------------------------------------
-// sweepAll memoization: repeated sweeps over identical (model, memory
-// model, batch sizes, job) tuples — the pattern of a CLI serving
-// repeated queries — skip the grid entirely.  The canonical key
-// string captures every input that can influence the result; its
-// FNV-1a hash indexes the cache and the full key is verified on a
-// hit, so a hash collision degrades to a miss instead of a wrong
-// answer.  The sweep thread count is deliberately NOT part of the
-// key: sweeps are byte-identical at every thread count.
-// ---------------------------------------------------------------------
-
-/** Streams one value followed by a separator. */
-template <typename T>
-void
-keyPart(std::ostringstream &oss, const T &value)
-{
-    oss << value << '|';
-}
-
-void
-keyLink(std::ostringstream &oss, const net::LinkConfig &link)
-{
-    keyPart(oss, link.name);
-    keyPart(oss, link.latency);
-    keyPart(oss, link.bandwidth);
-}
-
-/**
- * Canonical description of everything a sweepAll result depends on.
- */
-std::string
-sweepCacheKey(const core::AmpedModel &model,
-              const std::optional<core::MemoryModel> &memory_model,
-              const std::vector<double> &batch_sizes,
-              const core::TrainingJob &job, unsigned threads)
-{
-    std::ostringstream oss;
-    oss.precision(17);
-
-    // Results are byte-identical across thread counts, but keying on
-    // the setting keeps the serial-vs-parallel differential tests
-    // honest: a sweep with a different thread count re-executes
-    // instead of returning the other configuration's cached result.
-    keyPart(oss, threads);
-
-    const auto &cfg = model.opCounter().config();
-    keyPart(oss, cfg.name);
-    keyPart(oss, cfg.numLayers);
-    keyPart(oss, cfg.hiddenSize);
-    keyPart(oss, cfg.numHeads);
-    keyPart(oss, cfg.seqLength);
-    keyPart(oss, cfg.vocabSize);
-    keyPart(oss, cfg.ffnHiddenSize);
-    keyPart(oss, cfg.moe.numExperts);
-    keyPart(oss, cfg.moe.expertsPerToken);
-    keyPart(oss, cfg.moe.moeLayerInterval);
-
-    const auto &ops = model.opCounter().options();
-    keyPart(oss, ops.softmaxOpsPerScore);
-    keyPart(oss, ops.geluOpsPerElement);
-    keyPart(oss, ops.layerNormOpsPerElement);
-    keyPart(oss, ops.residualOpsPerElement);
-    keyPart(oss, ops.activationRecompute);
-    keyPart(oss, ops.includeEmbeddingFlops);
-
-    const auto &accel = model.accelerator();
-    keyPart(oss, accel.name);
-    keyPart(oss, accel.frequency);
-    keyPart(oss, accel.numCores);
-    keyPart(oss, accel.numMacUnits);
-    keyPart(oss, accel.macUnitWidth);
-    keyPart(oss, accel.numNonlinUnits);
-    keyPart(oss, accel.nonlinUnitWidth);
-    keyPart(oss, accel.memoryBytes);
-    keyPart(oss, accel.offChipBandwidth);
-    keyPart(oss, accel.precisions.parameterBits);
-    keyPart(oss, accel.precisions.activationBits);
-    keyPart(oss, accel.precisions.nonlinearBits);
-    keyPart(oss, accel.precisions.macUnitBits);
-    keyPart(oss, accel.precisions.nonlinearUnitBits);
-
-    const auto &eff = model.efficiency();
-    keyPart(oss, eff.a());
-    keyPart(oss, eff.b());
-    keyPart(oss, eff.floor());
-    keyPart(oss, eff.criticalUb());
-    keyPart(oss, eff.decayPerUb());
-
-    const auto &system = model.system();
-    keyPart(oss, system.name);
-    keyPart(oss, system.numNodes);
-    keyPart(oss, system.acceleratorsPerNode);
-    keyPart(oss, system.nicsPerNode);
-    keyPart(oss, system.interIsPooledFabric);
-    keyLink(oss, system.intraLink);
-    keyLink(oss, system.interLink);
-
-    const auto &opts = model.options();
-    keyPart(oss, opts.bubbleOverlapRatio);
-    keyPart(oss, opts.zeroDpOverhead);
-    keyPart(oss, opts.backwardComputeMultiplier);
-    keyPart(oss, opts.backwardCommMultiplier);
-    keyPart(oss, opts.ppCommMultiplier);
-    keyPart(oss, opts.gradientBits);
-    keyPart(oss, opts.hierarchicalGradAllReduce);
-    keyPart(oss, opts.intraTopologyFactorOverride);
-    keyPart(oss, opts.interTopologyFactorOverride);
-    keyPart(oss, opts.enableMoeComm);
-
-    keyPart(oss, memory_model.has_value());
-    if (memory_model) {
-        const auto &mem = memory_model->options();
-        keyPart(oss, static_cast<int>(mem.zeroStage));
-        keyPart(oss, mem.optimizerBytesPerParam);
-        keyPart(oss, mem.activationRecompute);
-        keyPart(oss, mem.activationsInFlightOverride);
-        keyPart(oss, mem.workspaceBytes);
-    }
-
-    keyPart(oss, job.batchSize);
-    keyPart(oss, job.totalTrainingTokens);
-    keyPart(oss, job.numBatchesOverride);
-    keyPart(oss, job.microbatching.microbatchSizeOverride);
-    keyPart(oss, job.microbatching.numMicrobatchesOverride);
-
-    keyPart(oss, batch_sizes.size());
-    for (const double batch : batch_sizes)
-        keyPart(oss, batch);
-
-    return oss.str();
-}
-
-struct SweepCacheEntry
-{
-    std::string key;   ///< Full canonical key (collision guard).
-    SweepResult result;
-    std::uint64_t stamp = 0; ///< Recency stamp (larger = fresher).
-};
-
-/**
- * At capacity — an entry-count cap or a resident-byte budget,
- * whichever bites first — the least-recently-used entry is evicted
- * (recency = last hit or insertion), so a working set of repeated
- * queries stays resident even while one-off sweeps churn through the
- * cache.  Evictions are published as
- * `explore.sweep_cache.evictions` / `.evicted_bytes`, and occupancy
- * as the `explore.sweep_cache.bytes` / `.entries` gauges.
- */
-constexpr std::size_t kSweepCacheCapacity = 64;
-
-/** Resident-byte budget for the memoized sweep results. */
-constexpr std::size_t kSweepCacheBudgetBytes = 64u << 20;
-
-/**
- * Approximate resident footprint of one memo entry: the canonical
- * key plus the sweep's entry array (the dominant term for any
- * non-trivial grid).  Advisory accounting for the byte budget, not
- * an allocator-exact measure.
- */
-std::size_t
-sweepCacheEntryBytes(const SweepCacheEntry &entry)
-{
-    return sizeof(SweepCacheEntry) + entry.key.size() +
-           entry.result.entries.size() * sizeof(SweepEntry);
-}
-
-/**
- * Process-wide memo store behind sweepAll.  One annotated struct
- * instead of the historical per-datum function-local statics, so
- * Clang's thread-safety analysis proves that the map, the resident-
- * byte count, and the recency clock are only touched with the mutex
- * held (previously the guard was a doc comment).
- */
-struct SweepMemo
-{
-    Mutex mutex;
-    std::unordered_map<std::uint64_t, SweepCacheEntry> entries
-        AMPED_GUARDED_BY(mutex);
-    std::size_t bytes AMPED_GUARDED_BY(mutex) = 0;
-    /** Monotonic recency clock (larger = fresher). */
-    std::uint64_t clock AMPED_GUARDED_BY(mutex) = 0;
-
-    static SweepMemo &
-    instance()
-    {
-        // Leaked intentionally: sweeps issued from static
-        // destructors of other TUs may still hit the memo at
-        // shutdown.
-        static auto *memo = new SweepMemo();
-        return *memo;
-    }
-};
 
 } // namespace
 
@@ -438,79 +242,9 @@ SweepResult
 Explorer::sweepAll(const std::vector<double> &batch_sizes,
                    const core::TrainingJob &job_template) const
 {
-    auto &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &hits =
-        metrics.counter("explore.sweep_cache.hits");
-    static obs::Counter &misses =
-        metrics.counter("explore.sweep_cache.misses");
-    static obs::Counter &evictions =
-        metrics.counter("explore.sweep_cache.evictions");
-    static obs::Counter &evicted_bytes =
-        metrics.counter("explore.sweep_cache.evicted_bytes");
-    static obs::Gauge &bytes_gauge =
-        metrics.gauge("explore.sweep_cache.bytes");
-    static obs::Gauge &entries_gauge =
-        metrics.gauge("explore.sweep_cache.entries");
-
-    const std::string key = sweepCacheKey(
-        model_, memoryModel_, batch_sizes, job_template, threads_);
-    const std::uint64_t hash = fnv1a64(key);
-    SweepMemo &memo = SweepMemo::instance();
-    {
-        MutexLock lock(memo.mutex);
-        const auto it = memo.entries.find(hash);
-        if (it != memo.entries.end() && it->second.key == key) {
-            hits.add(1);
-            it->second.stamp = ++memo.clock;
-            return it->second.result;
-        }
-    }
-    misses.add(1);
-
     mapping::MappingSpace space(model_.system());
     const std::int64_t max_pp = model_.opCounter().config().numLayers;
-    SweepResult result =
-        sweep(space.enumerate(max_pp), batch_sizes, job_template);
-
-    // Never memoize a stopped sweep: its prefix is valid for this
-    // caller but would silently serve as "the full grid" to the next
-    // one.  (Serving a cached *complete* result to a deadline-bounded
-    // caller is fine — the work is already done.)
-    if (result.status != RunStatus::Completed)
-        return result;
-
-    {
-        MutexLock lock(memo.mutex);
-        auto &cache = memo.entries;
-        SweepCacheEntry fresh{key, result, ++memo.clock};
-        const std::size_t fresh_bytes = sweepCacheEntryBytes(fresh);
-        if (const auto old = cache.find(hash); old != cache.end()) {
-            memo.bytes -= sweepCacheEntryBytes(old->second);
-            cache.erase(old);
-        }
-        // Evict down to both caps before inserting.  The capacity is
-        // small enough that a linear LRU scan beats maintaining an
-        // intrusive list.
-        while (!cache.empty() &&
-               (cache.size() >= kSweepCacheCapacity ||
-                memo.bytes + fresh_bytes > kSweepCacheBudgetBytes)) {
-            auto lru = cache.begin();
-            for (auto it = cache.begin(); it != cache.end(); ++it)
-                if (it->second.stamp < lru->second.stamp)
-                    lru = it;
-            const std::size_t lru_bytes =
-                sweepCacheEntryBytes(lru->second);
-            memo.bytes -= lru_bytes;
-            cache.erase(lru);
-            evictions.add(1);
-            evicted_bytes.add(lru_bytes);
-        }
-        memo.bytes += fresh_bytes;
-        cache[hash] = std::move(fresh);
-        bytes_gauge.set(static_cast<double>(memo.bytes));
-        entries_gauge.set(static_cast<double>(cache.size()));
-    }
-    return result;
+    return sweep(space.enumerate(max_pp), batch_sizes, job_template);
 }
 
 std::optional<SweepEntry>
@@ -629,10 +363,10 @@ sweepCsv(const std::vector<SweepEntry> &entries)
             units::formatFixed(
                 e.result.achievedFlopsPerGpu / units::tera, 3)};
         const auto entry_phases = e.result.perBatch.phases();
-        require(entry_phases.size() == reference_phases.size(),
-                "sweepCsv: entry for ", e.mapping.toString(),
-                " has ", entry_phases.size(), " phases, header has ",
-                reference_phases.size());
+        if (!(entry_phases.size() == reference_phases.size()))
+            fatal("sweepCsv: entry for ", e.mapping.toString(), " has ",
+                  entry_phases.size(), " phases, header has ",
+                  reference_phases.size());
         for (std::size_t i = 0; i < entry_phases.size(); ++i) {
             require(entry_phases[i].first == reference_phases[i].first,
                     "sweepCsv: phase mismatch at column ", i, ": '",

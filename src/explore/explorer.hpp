@@ -117,14 +117,9 @@ class Explorer
     /**
      * Evaluates the full mapping space of the model's system (every
      * intra x inter factorization), capped at a pipeline degree of
-     * the model's layer count.
-     *
-     * Results are memoized process-wide on the full configuration
-     * (model, accelerator, system, options, memory model, job, batch
-     * sizes): repeating an identical sweepAll call returns the cached
-     * result without re-evaluating the grid.  Cache hits do not
-     * re-emit per-point warnings.  Hit/miss totals are published as
-     * the `explore.sweep_cache.*` counters in the metrics registry.
+     * the model's layer count, via sweep().  Nothing is cached:
+     * every call evaluates the grid (`amped serve` caches whole
+     * answers in its serve::SweepCacheLru).
      */
     SweepResult sweepAll(const std::vector<double> &batch_sizes,
                          const core::TrainingJob &job_template) const;

@@ -11,9 +11,12 @@ namespace mapping {
 void
 ParallelismConfig::validate() const
 {
-    require(tpIntra >= 1 && tpInter >= 1 && ppIntra >= 1 &&
-                ppInter >= 1 && dpIntra >= 1 && dpInter >= 1,
-            "parallelism degrees must all be >= 1 (", toString(), ")");
+    // The checks in this file branch before fatal() so toString()
+    // runs only when one fails: they run on every sweep table row.
+    if (!(tpIntra >= 1 && tpInter >= 1 && ppIntra >= 1 &&
+          ppInter >= 1 && dpIntra >= 1 && dpInter >= 1))
+        fatal("parallelism degrees must all be >= 1 (", toString(),
+              ")");
 }
 
 void
@@ -22,13 +25,13 @@ ParallelismConfig::validateFor(const net::SystemConfig &system) const
     validate();
     const std::int64_t intra = tpIntra * ppIntra * dpIntra;
     const std::int64_t inter = tpInter * ppInter * dpInter;
-    require(intra == system.acceleratorsPerNode,
-            "mapping ", toString(), ": intra-node degree product ",
-            intra, " != accelerators per node ",
-            system.acceleratorsPerNode);
-    require(inter == system.numNodes, "mapping ", toString(),
-            ": inter-node degree product ", inter, " != node count ",
-            system.numNodes);
+    if (!(intra == system.acceleratorsPerNode))
+        fatal("mapping ", toString(), ": intra-node degree product ",
+              intra, " != accelerators per node ",
+              system.acceleratorsPerNode);
+    if (!(inter == system.numNodes))
+        fatal("mapping ", toString(), ": inter-node degree product ",
+              inter, " != node count ", system.numNodes);
 }
 
 std::string
@@ -93,9 +96,9 @@ Microbatching::microbatchSize(double batch,
     } else {
         ub = batch / static_cast<double>(p.dp() * p.pp());
     }
-    require(ub >= 1.0, "batch ", batch, " too small for mapping ",
-            p.toString(), ": microbatch size would be ", ub,
-            " (< 1 sample)");
+    if (!(ub >= 1.0))
+        fatal("batch ", batch, " too small for mapping ", p.toString(),
+              ": microbatch size would be ", ub, " (< 1 sample)");
     return ub;
 }
 
@@ -107,8 +110,9 @@ Microbatching::numMicrobatches(double batch,
         return numMicrobatchesOverride;
     const double per_replica = batch / static_cast<double>(p.dp());
     const double n_ub = per_replica / microbatchSize(batch, p);
-    require(n_ub >= 1.0, "batch ", batch, " with mapping ",
-            p.toString(), " yields ", n_ub, " microbatches (< 1)");
+    if (!(n_ub >= 1.0))
+        fatal("batch ", batch, " with mapping ", p.toString(),
+              " yields ", n_ub, " microbatches (< 1)");
     return n_ub;
 }
 

@@ -113,10 +113,10 @@ std::int64_t
 Json::asInt() const
 {
     if (kind_ == Kind::number) {
-        require(number_ == std::floor(number_) &&
-                    std::isfinite(number_),
-                "json: number ", formatDouble(number_),
-                " is not an integer");
+        if (!(number_ == std::floor(number_) &&
+              std::isfinite(number_)))
+            fatal("json: number ", formatDouble(number_),
+                  " is not an integer");
         return static_cast<std::int64_t>(number_);
     }
     require(kind_ == Kind::integer, "json: value is not an integer");

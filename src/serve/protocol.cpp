@@ -95,9 +95,8 @@ requestFromJson(const obs::Json &doc)
                     deadline.kind() == obs::Json::Kind::integer,
                 "'deadline_ms' must be a number");
         const double ms = deadline.asDouble();
-        require(std::isfinite(ms) && ms >= 0.0,
-                "'deadline_ms' must be >= 0, got ",
-                deadline.dump());
+        if (!(std::isfinite(ms) && ms >= 0.0))
+            fatal("'deadline_ms' must be >= 0, got ", deadline.dump());
         request.deadlineMs = ms;
     }
 

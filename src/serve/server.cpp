@@ -314,15 +314,18 @@ entriesJson(const std::vector<explore::SweepEntry> &entries)
 /**
  * Canonical serialization for cache keys: object members sorted by
  * key at every level, so two logically identical params objects with
- * different insertion orders share one cache entry.
+ * different insertion orders share one cache entry.  The top-level
+ * member named @p skip (if any) is left out.
  */
 void
-canonicalDumpTo(const obs::Json &value, std::string &out)
+canonicalDumpTo(const obs::Json &value, std::string &out,
+                const char *skip = nullptr)
 {
     if (value.isObject()) {
         std::vector<const std::pair<std::string, obs::Json> *> members;
         for (const auto &member : value.members())
-            members.push_back(&member);
+            if (skip == nullptr || member.first != skip)
+                members.push_back(&member);
         std::sort(members.begin(), members.end(),
                   [](const auto *a, const auto *b) {
                       return a->first < b->first;
@@ -351,13 +354,38 @@ canonicalDumpTo(const obs::Json &value, std::string &out)
     out += value.dump();
 }
 
+/** The cache key of (method, params), without params member @p skip. */
 std::string
-cacheKey(Method method, const obs::Json &params)
+cacheKey(Method method, const obs::Json &params,
+         const char *skip = nullptr)
 {
     std::string key = toString(method);
     key.push_back('|');
-    canonicalDumpTo(params, key);
+    canonicalDumpTo(params, key, skip);
     return key;
+}
+
+/**
+ * A cached sweep result cut to its first @p top entries; the result
+ * itself when it holds no more than that.
+ */
+obs::Json
+firstEntries(obs::Json cached, std::size_t top)
+{
+    if (cached.at("entries").size() <= top)
+        return cached;
+    obs::Json out = obs::Json::object();
+    for (const auto &[name, value] : cached.members()) {
+        if (name != "entries") {
+            out.set(name, value);
+            continue;
+        }
+        obs::Json kept = obs::Json::array();
+        for (std::size_t i = 0; i < top; ++i)
+            kept.push(value.at(i));
+        out.set(name, std::move(kept));
+    }
+    return out;
 }
 
 bool
@@ -526,12 +554,17 @@ Server::runRequest(const Request &request, const CancelToken &token)
       case Method::sweep: {
         Params params(request.params,
                       withKeys({"batches", "top", "memory-check"}));
-        const std::string key = cacheKey(request.method,
-                                         request.params);
-        if (const auto hit = cache_.get(key)) {
+        const auto top = static_cast<std::size_t>(
+            params.integer("top", 10));
+        // Keyed without "top": one cached ranking answers every top
+        // it covers (SweepCacheLru), cut to the first `top` entries.
+        const std::string key =
+            cacheKey(request.method, request.params, "top");
+        if (const auto hit = cache_.get(key, top)) {
             return okResponse(request.id, RunStatus::Completed,
                               /*cached=*/true,
-                              obs::Json::parse(*hit));
+                              firstEntries(obs::Json::parse(*hit),
+                                           top));
         }
         const auto model = modelFromParams(params);
         const auto batches = batchesFromParams(params);
@@ -549,9 +582,8 @@ Server::runRequest(const Request &request, const CancelToken &token)
         auto sweep = explorer.sweepAll(batches,
                                        jobFromParams(params));
         explore::Explorer::sortByTime(sweep.entries);
-        const auto top = static_cast<std::size_t>(
-            params.integer("top", 10));
-        if (sweep.entries.size() > top)
+        const bool whole_ranking = sweep.entries.size() <= top;
+        if (!whole_ranking)
             sweep.entries.resize(top);
 
         obs::Json result = obs::Json::object();
@@ -568,7 +600,8 @@ Server::runRequest(const Request &request, const CancelToken &token)
                    static_cast<std::int64_t>(
                        sweep.cancelledUnvisited));
         if (sweep.status == RunStatus::Completed)
-            cache_.put(key, result.dump());
+            cache_.put(key, result.dump(),
+                       whole_ranking ? SweepCacheLru::kAnyTop : top);
         return okResponse(request.id, sweep.status,
                           /*cached=*/false, std::move(result));
       }

@@ -23,7 +23,9 @@
  *  - Cache.  Completed sweep and optimize results are memoized in a
  *    shared byte-budgeted SweepCacheLru keyed by a canonical
  *    (method, params) string; hits replay the serialized result
- *    without re-evaluating and are marked "cached": true.
+ *    without re-evaluating and are marked "cached": true.  A sweep
+ *    key leaves out `top`: a cached ranking answers any top it
+ *    covers, cut to its first `top` entries.
  *  - Response.  Schema-versioned JSON, one line per request (see
  *    serve/protocol.hpp).  A request that fails validation or
  *    evaluation produces a structured error response; the server

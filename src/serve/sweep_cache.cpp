@@ -21,11 +21,11 @@ SweepCacheLru::SweepCacheLru(std::size_t budget_bytes,
 }
 
 std::optional<std::string>
-SweepCacheLru::get(const std::string &key)
+SweepCacheLru::get(const std::string &key, std::size_t top)
 {
     MutexLock lock(mutex_);
     const auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    if (it == entries_.end() || it->second.coveredTop < top) {
         missesCounter_->add(1);
         return std::nullopt;
     }
@@ -35,7 +35,8 @@ SweepCacheLru::get(const std::string &key)
 }
 
 void
-SweepCacheLru::put(const std::string &key, const std::string &value)
+SweepCacheLru::put(const std::string &key, const std::string &value,
+                   std::size_t covered_top)
 {
     MutexLock lock(mutex_);
     if (key.size() + value.size() > budgetBytes_)
@@ -44,10 +45,11 @@ SweepCacheLru::put(const std::string &key, const std::string &value)
     if (it != entries_.end()) {
         bytes_ -= entryBytes(it->second);
         it->second.value = value;
+        it->second.coveredTop = covered_top;
         it->second.stamp = ++clock_;
         bytes_ += entryBytes(it->second);
     } else {
-        Entry entry{key, value, ++clock_};
+        Entry entry{key, value, covered_top, ++clock_};
         bytes_ += entryBytes(entry);
         entries_.emplace(key, std::move(entry));
     }
@@ -86,8 +88,7 @@ void
 SweepCacheLru::evictToBudget()
 {
     // The budget is a handful of entries in practice; a linear LRU
-    // scan beats maintaining an intrusive list (same trade-off as
-    // the Explorer memo cache).
+    // scan beats maintaining an intrusive list.
     while (bytes_ > budgetBytes_ && !entries_.empty()) {
         auto lru = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it)

@@ -2,31 +2,33 @@
  * @file
  * Byte-budgeted LRU response cache shared across serve requests.
  *
- * The Explorer's process-wide sweepAll memo cache (explore/
- * explorer.cpp) is bounded by entry *count*; a service with a
- * latency SLO needs a *memory* bound instead, because one cached
- * 145b-scale sweep result dwarfs a thousand tiny ones.  This class
- * is the promoted form: it stores the serialized result JSON of
- * completed sweep / optimize requests keyed by a canonical request
- * string, accounts the exact byte size of every entry (key + value),
- * and evicts least-recently-used entries until the configured budget
- * holds again.
+ * The service's one result cache.  It stores the serialized result
+ * JSON of completed sweep / optimize requests keyed by a canonical
+ * request string, accounts the exact byte size of every entry (key +
+ * value), and evicts least-recently-used entries until the configured
+ * budget holds again.  The budget is in bytes, not entries, because
+ * one cached 145b-scale sweep result dwarfs a thousand tiny ones.
  *
  * Caching serialized responses (not SweepResult objects) keeps the
  * byte accounting exact and makes a hit O(1): the server replays the
  * stored string into the response envelope without re-rendering.
  * Only RunStatus::Completed results may be inserted — a cancelled
  * sweep's prefix is valid for its caller but would silently serve as
- * "the full grid" to the next one (the same rule the Explorer memo
- * cache enforces).
+ * "the full grid" to the next one.
+ *
+ * A ranked result cut to its first k entries answers any request for
+ * a top <= k (the rank is a stable total order, so a top-k is a prefix
+ * of every larger top); put() records that k and get() checks it.  An
+ * entry that cannot answer a larger top is a miss, and the fresh
+ * answer the server then puts replaces it.
  *
  * Thread safety: all operations take an internal mutex, so one cache
  * instance may be shared by a TCP accept loop and tests hammering it
  * concurrently.
  *
  * Observability (registered lazily in the configured registry):
- *   serve.cache.hits           get() found a fresh entry
- *   serve.cache.misses         get() found nothing
+ *   serve.cache.hits           get() found an entry that answers
+ *   serve.cache.misses         get() found nothing that answers
  *   serve.cache.evicted_bytes  bytes discarded to regain the budget
  *   serve.cache.evictions      entries discarded
  *   serve.cache.bytes          gauge: bytes currently resident
@@ -38,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,19 +75,32 @@ class SweepCacheLru
     explicit SweepCacheLru(std::size_t budget_bytes,
                            obs::MetricsRegistry *registry = nullptr);
 
+    /** put()'s default: the value answers a request for any top. */
+    static constexpr std::size_t kAnyTop =
+        std::numeric_limits<std::size_t>::max();
+
     /**
-     * Looks up @p key, refreshing its recency on a hit.
+     * Looks up @p key for a request that wants the first @p top
+     * ranked entries, refreshing its recency on a hit.  An entry
+     * whose covered top (see put()) is below @p top does not answer
+     * the request, and the lookup counts as a miss.
      *
      * @return The cached serialized result, or nullopt on a miss.
      */
-    std::optional<std::string> get(const std::string &key);
+    std::optional<std::string> get(const std::string &key,
+                                   std::size_t top = 0);
 
     /**
-     * Inserts (or refreshes) @p key -> @p value and evicts
+     * Inserts (or replaces) @p key -> @p value and evicts
      * least-recently-used entries until the byte budget holds.
      * Inserting an entry that alone exceeds the budget is a no-op.
+     *
+     * @param covered_top The largest top the value answers: the
+     *        entry count of a ranking cut short, kAnyTop for a whole
+     *        ranking or an unranked result.
      */
-    void put(const std::string &key, const std::string &value);
+    void put(const std::string &key, const std::string &value,
+             std::size_t covered_top = kAnyTop);
 
     /** Entries currently resident. */
     std::size_t size() const;
@@ -103,6 +119,7 @@ class SweepCacheLru
     {
         std::string key;   ///< Owned copy (collision-free map key).
         std::string value; ///< Serialized result JSON.
+        std::size_t coveredTop = kAnyTop; ///< See put().
         std::uint64_t stamp = 0; ///< Recency (larger = fresher).
     };
 

@@ -1,15 +1,16 @@
 /**
  * @file
  * Concurrency stress tests for the shared-state surfaces that the
- * ThreadSanitizer CI job watches: the process-wide sweepAll
- * memoization cache, the metrics registry, and concurrent thread
- * pools sharing the global instrumentation counters.
+ * ThreadSanitizer CI job watches: concurrent sweepAll callers on the
+ * shared pool and sweep counters, the metrics registry, and
+ * concurrent thread pools sharing the global instrumentation
+ * counters.
  *
  * These tests pass trivially under a data-race-free implementation;
  * their value is the *interleavings* they force when the suite runs
- * under TSan (ci.yml `tsan` job, AMPED_THREADS=4): cache fill races
- * between identical keys, snapshot-during-write on the registry, and
- * counter updates from pools owned by different host threads.
+ * under TSan (ci.yml `tsan` job, AMPED_THREADS=4): identical sweeps
+ * from several host threads, snapshot-during-write on the registry,
+ * and counter updates from pools owned by different host threads.
  */
 
 #include <gtest/gtest.h>
@@ -64,16 +65,13 @@ stressJob()
 }
 
 /**
- * Several host threads issue the *same* sweepAll key at once.  The
- * first round races the cache-fill path (miss -> evaluate -> insert
- * under the same key from every thread); later rounds race lookups
- * against the insert.  Every caller must observe an identical grid.
+ * Several host threads issue the *same* sweepAll at once, racing
+ * each other on the shared pool and the sweep counters.  Every
+ * caller must observe an identical grid.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
 {
     constexpr int kCallers = 4;
-    // A batch size no other test uses, so round one really does
-    // start from a cold cache entry and races the fill.
     const std::vector<double> batches{208.0};
 
     std::vector<explore::SweepResult> results(kCallers);
@@ -96,7 +94,7 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
         ASSERT_EQ(result.entries.size(), first.entries.size());
         EXPECT_EQ(result.skipped, first.skipped);
         for (std::size_t i = 0; i < first.entries.size(); ++i) {
-            // Bitwise equality: cached and freshly evaluated grids
+            // Bitwise equality: concurrent evaluations of one grid
             // must be indistinguishable.
             EXPECT_EQ(result.entries[i].result.totalTime,
                       first.entries[i].result.totalTime);
@@ -107,9 +105,8 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
 }
 
 /**
- * Distinct keys from concurrent callers: races insertions against
- * each other (rehash during lookup is the classic unordered_map
- * race) and, with enough keys, the capacity-eviction path.
+ * Distinct grids from concurrent callers: each must come back with
+ * only its own batch size.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
 {
@@ -121,7 +118,7 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
         callers.emplace_back([&, t] {
             explore::Explorer explorer(stressModel());
             explorer.setThreads(2);
-            // Unique batch size per caller -> unique cache key.
+            // Unique batch size per caller.
             const std::vector<double> batches{212.0 + 4.0 * t};
             results[static_cast<std::size_t>(t)] =
                 explorer.sweepAll(batches, stressJob());
@@ -282,17 +279,13 @@ TEST(ConcurrencyStressTest, ConcurrentPoolsFromDistinctOwners)
  * Cancellation soak: concurrent sweepAll callers share children of
  * one token while another thread trips it mid-flight.  Under TSan
  * this races the token's latch against checkpoint polls from every
- * pool worker *and* races the memo cache's "never cache a stopped
- * result" path against concurrent fills.  Whatever the
- * interleaving, each caller must end in a consistent state, and a
- * final clean call must prove no stopped result leaked into the
- * cache.
+ * pool worker.  Whatever the interleaving, each caller must end in
+ * a consistent state, and a final clean call must prove no stopped
+ * state leaked into the next sweep.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllRacingSharedCancel)
 {
     constexpr int kCallers = 4;
-    // A batch size no other test uses -> a cold cache key that the
-    // cancelled and surviving callers fight over.
     const std::vector<double> batches{216.0};
 
     const CancelToken parent = CancelToken::make();
@@ -325,7 +318,7 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllRacingSharedCancel)
             EXPECT_EQ(result.status, RunStatus::Cancelled);
     }
 
-    // The cache must serve only Completed grids afterwards.
+    // The next sweep of the same grid runs to completion.
     explore::Explorer clean_explorer(stressModel());
     clean_explorer.setThreads(2);
     const explore::SweepResult clean =

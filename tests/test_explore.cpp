@@ -22,7 +22,6 @@
 #include "explore/explorer.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
-#include "obs/metrics.hpp"
 
 namespace amped {
 namespace explore {
@@ -416,55 +415,6 @@ TEST(ExplorerTest, SweepJobsCrossesMappingsWithJobVariants)
     EXPECT_EQ(result.entries[0].result.microbatchSize, 8.0);
     EXPECT_EQ(result.entries[1].result.microbatchSize, 8.0);
     EXPECT_EQ(result.entries[2].result.microbatchSize, 32.0);
-}
-
-TEST(ExplorerTest, SweepAllMemoizesIdenticalConfigurations)
-{
-    auto &metrics = obs::MetricsRegistry::global();
-    obs::Counter &hits =
-        metrics.counter("explore.sweep_cache.hits");
-    obs::Counter &misses =
-        metrics.counter("explore.sweep_cache.misses");
-
-    // A batch size no other test uses, so the first call is
-    // guaranteed to miss the process-wide cache.
-    core::TrainingJob job = testJob();
-    job.batchSize = 192.0;
-    const std::uint64_t hits_before = hits.value();
-    const std::uint64_t misses_before = misses.value();
-
-    Explorer first(testModel());
-    const auto a = first.sweepAll({192.0}, job);
-    EXPECT_EQ(misses.value(), misses_before + 1);
-    EXPECT_EQ(hits.value(), hits_before);
-
-    // A *different* Explorer instance with the same configuration
-    // hits: the cache keys the full configuration, not the object.
-    Explorer second(testModel());
-    const auto b = second.sweepAll({192.0}, job);
-    EXPECT_EQ(hits.value(), hits_before + 1);
-    EXPECT_EQ(misses.value(), misses_before + 1);
-    ASSERT_EQ(b.entries.size(), a.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        EXPECT_EQ(a.entries[i].mapping.toString(),
-                  b.entries[i].mapping.toString());
-        EXPECT_EQ(a.entries[i].result.timePerBatch,
-                  b.entries[i].result.timePerBatch);
-    }
-
-    // Changing any keyed input (here the job batch) misses again.
-    core::TrainingJob other = job;
-    other.batchSize = 208.0;
-    second.sweepAll({208.0}, other);
-    EXPECT_EQ(misses.value(), misses_before + 2);
-
-    // A different thread count is keyed too, so serial-vs-parallel
-    // differential runs never alias each other's cached results.
-    Explorer threaded(testModel());
-    threaded.setThreads(3);
-    threaded.sweepAll({192.0}, job);
-    EXPECT_EQ(misses.value(), misses_before + 3);
-    EXPECT_EQ(hits.value(), hits_before + 1);
 }
 
 TEST(ExplorerTest, SweepCsvWithNoEntriesStillHasPhaseHeaders)

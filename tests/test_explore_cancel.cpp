@@ -262,13 +262,11 @@ TEST(OptimizerCancelTest, BestSoFarIsDeterministicAcrossThreadCounts)
 }
 
 /**
- * sweepAll never memoizes a stopped result: a cancelled call under a
- * key must not poison the cache, and the next identical call runs
- * the full grid.
+ * A stopped sweepAll leaves nothing behind: the next identical call
+ * runs the full grid, and so does the one after it.
  */
 TEST(ExplorerCancelTest, SweepAllDoesNotCacheStoppedResults)
 {
-    // A batch size no other test uses, so this key starts cold.
     const std::vector<double> batches{193.0};
 
     explore::Explorer explorer(cancelModel());
@@ -292,8 +290,8 @@ TEST(ExplorerCancelTest, SweepAllDoesNotCacheStoppedResults)
     EXPECT_GT(clean.visitedPoints, 0u);
     EXPECT_EQ(clean.cancelledUnvisited, 0u);
 
-    // And the Completed result (not the stopped one) is what the
-    // cache now serves.
+    // And a repeat returns the Completed grid again, not the
+    // stopped prefix.
     const explore::SweepResult cached =
         explorer.sweepAll(batches, cancelJob());
     EXPECT_EQ(cached.status, RunStatus::Completed);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "common/error.hpp"
@@ -48,6 +49,59 @@ TEST(ParallelismTest, ValidateForMatchingSystem)
     // Inter product 64 != 128.
     EXPECT_THROW(makeMapping(8, 1, 1, 1, 1, 64).validateFor(sys),
                  UserError);
+}
+
+TEST(ParallelismTest, DiagnosticsTextIsPinned)
+{
+    // These checks format their message only when they fail; pin
+    // each message byte for byte so a reworded or dropped part
+    // fails here, not just the throw.
+    const auto sys = system128x8();
+    Microbatching sized;
+    sized.microbatchSizeOverride = 32.0;
+    struct Case
+    {
+        const char *name;
+        std::function<void()> check;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"non-positive degree",
+         [] { makeMapping(8, 1, 1, 1, -2, 64); },
+         "parallelism degrees must all be >= 1 (TP8 | DP64 "
+         "(intra|inter))"},
+        {"intra mismatch",
+         [&] { makeMapping(4, 1, 1, 1, 2, 64).validateFor(sys); },
+         "mapping TP4 | PP2*DP64 (intra|inter): intra-node degree "
+         "product 4 != accelerators per node 8"},
+        {"inter mismatch",
+         [&] { makeMapping(8, 1, 1, 1, 1, 64).validateFor(sys); },
+         "mapping TP8 | DP64 (intra|inter): inter-node degree "
+         "product 64 != node count 128"},
+        {"sub-unit microbatch",
+         [] {
+             Microbatching().microbatchSize(
+                 8.0, makeMapping(1, 4, 4, 1, 1, 1));
+         },
+         "batch 8 too small for mapping PP4*DP4 | 1 (intra|inter): "
+         "microbatch size would be 0.5 (< 1 sample)"},
+        {"fewer than one microbatch",
+         [&] {
+             sized.numMicrobatches(256.0,
+                                   makeMapping(1, 1, 16, 1, 1, 1));
+         },
+         "batch 256 with mapping DP16 | 1 (intra|inter) yields 0.5 "
+         "microbatches (< 1)"},
+    };
+    for (const auto &row : cases) {
+        SCOPED_TRACE(row.name);
+        try {
+            row.check();
+            ADD_FAILURE() << "no UserError thrown";
+        } catch (const UserError &error) {
+            EXPECT_STREQ(error.what(), row.message);
+        }
+    }
 }
 
 TEST(ParallelismTest, ToStringShowsBothTiers)

@@ -154,6 +154,16 @@ TEST(ObsJsonTest, ParseRejectsMalformedInput)
     EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), UserError);
 }
 
+TEST(ObsJsonTest, AsIntOnAFractionNamesTheNumber)
+{
+    try {
+        (void)Json(1.5).asInt();
+        ADD_FAILURE() << "no UserError thrown";
+    } catch (const UserError &error) {
+        EXPECT_STREQ(error.what(), "json: number 1.5 is not an integer");
+    }
+}
+
 TEST(ObsJsonTest, LargeUnsignedDegradesToDouble)
 {
     // Values above int64 max cannot be represented exactly; the

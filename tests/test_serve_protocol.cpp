@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,11 +62,31 @@ tinyEvalRequest(int id)
 }
 
 std::string
-tinySweepRequest(int id)
+tinySweepRequest(int id, int top = 3)
 {
     return "{\"id\":" + std::to_string(id) +
            ",\"method\":\"sweep\",\"params\":{\"model\":\"145b\","
-           "\"nodes\":2,\"per-node\":2,\"batch\":512,\"top\":3}}";
+           "\"nodes\":2,\"per-node\":2,\"batch\":512,\"top\":" +
+           std::to_string(top) + "}}";
+}
+
+/** The result a fresh server gives for @p line. */
+std::string
+freshResult(const std::string &line)
+{
+    Harness fresh;
+    const obs::Json response = fresh.one(line);
+    EXPECT_FALSE(response.at("cached").asBool());
+    return response.at("result").dump();
+}
+
+/** Entries in the whole ranking of a completed sweep result. */
+std::int64_t
+rankingLength(const obs::Json &result)
+{
+    return result.at("visited_points").asInt() -
+           result.at("skipped").asInt() -
+           result.at("memory_skipped").asInt();
 }
 
 // ---------------------------------------------------------------
@@ -289,6 +310,81 @@ TEST(ServeProtocolTest, SweepRepeatHitsTheSharedCache)
     EXPECT_EQ(harness.server.cache().size(), 1u);
 }
 
+TEST(ServeProtocolTest, SmallerTopIsServedFromACachedLargerOne)
+{
+    Harness harness;
+    const obs::Json first = harness.one(tinySweepRequest(1, 3));
+    ASSERT_EQ(first.at("status").asString(), "ok");
+    // The top 3 is a cut of a longer ranking.
+    ASSERT_GT(rankingLength(first.at("result")), 3);
+
+    const obs::Json smaller = harness.one(tinySweepRequest(2, 2));
+    ASSERT_EQ(smaller.at("status").asString(), "ok");
+    EXPECT_TRUE(smaller.at("cached").asBool());
+    EXPECT_EQ(smaller.at("result").at("entries").size(), 2u);
+    EXPECT_EQ(smaller.at("result").dump(),
+              freshResult(tinySweepRequest(2, 2)));
+    EXPECT_EQ(harness.registry.counter("serve.cache.hits").value(),
+              1u);
+    EXPECT_EQ(
+        harness.registry.counter("serve.cache.misses").value(), 1u);
+}
+
+TEST(ServeProtocolTest, LargerTopMissesAndReplacesTheCachedCut)
+{
+    Harness harness;
+    ASSERT_EQ(harness.one(tinySweepRequest(1, 2)).at("status")
+                  .asString(),
+              "ok");
+
+    // A top-2 cut cannot answer a top 3: a miss, evaluated afresh.
+    const obs::Json larger = harness.one(tinySweepRequest(2, 3));
+    ASSERT_EQ(larger.at("status").asString(), "ok");
+    EXPECT_FALSE(larger.at("cached").asBool());
+    EXPECT_EQ(larger.at("result").dump(),
+              freshResult(tinySweepRequest(2, 3)));
+    EXPECT_EQ(harness.registry.counter("serve.cache.hits").value(),
+              0u);
+    EXPECT_EQ(
+        harness.registry.counter("serve.cache.misses").value(), 2u);
+
+    // The top-3 answer replaced the top-2 one and answers both.
+    EXPECT_EQ(harness.server.cache().size(), 1u);
+    EXPECT_TRUE(
+        harness.one(tinySweepRequest(3, 2)).at("cached").asBool());
+    EXPECT_TRUE(
+        harness.one(tinySweepRequest(4, 3)).at("cached").asBool());
+}
+
+TEST(ServeProtocolTest, WholeRankingAnswersAnyLargerTop)
+{
+    Harness harness;
+    const obs::Json first = harness.one(tinySweepRequest(1, 50));
+    ASSERT_EQ(first.at("status").asString(), "ok");
+    const obs::Json &result = first.at("result");
+    // The grid ranks fewer than 50 points, so this is all of them.
+    ASSERT_LT(rankingLength(result), 50);
+    ASSERT_EQ(static_cast<std::int64_t>(result.at("entries").size()),
+              rankingLength(result));
+
+    const obs::Json larger = harness.one(tinySweepRequest(2, 1000));
+    ASSERT_EQ(larger.at("status").asString(), "ok");
+    EXPECT_TRUE(larger.at("cached").asBool());
+    EXPECT_EQ(larger.at("result").dump(), result.dump());
+    EXPECT_EQ(larger.at("result").dump(),
+              freshResult(tinySweepRequest(2, 1000)));
+}
+
+TEST(ServeProtocolTest, NegativeDeadlineMessageNamesTheValue)
+{
+    Harness harness;
+    const obs::Json response = harness.one(
+        "{\"id\":5,\"method\":\"ping\",\"deadline_ms\":-2.5}");
+    EXPECT_EQ(response.at("status").asString(), "error");
+    EXPECT_EQ(response.at("error").at("message").asString(),
+              "'deadline_ms' must be >= 0, got -2.5");
+}
+
 TEST(ServeProtocolTest, EvalMatchesDirectModelPrediction)
 {
     Harness harness;
@@ -309,16 +405,15 @@ TEST(ServeProtocolTest, CancelledSweepFlushesPartialResult)
     harness.server.setCancelToken(root);
     root.cancel();
 
-    // A batch size no other test (or the loadgen) sweeps, so the
-    // Explorer's process-wide memo cache cannot already hold a
-    // Completed grid for this key.
+    // The root token is already cancelled, so the sweep stops at
+    // its first checkpoint.
     const obs::Json response = harness.one(
         "{\"id\":21,\"method\":\"sweep\",\"params\":{\"model\":"
         "\"145b\",\"nodes\":2,\"per-node\":2,\"batch\":640,"
         "\"top\":3}}");
     ASSERT_EQ(response.at("status").asString(), "ok");
     EXPECT_EQ(response.at("run_status").asString(), "cancelled");
-    // A cancelled sweep is never memoized: repeating it after the
+    // A cancelled sweep is never cached: repeating it after the
     // token recovers must re-evaluate (miss), not replay the stub.
     EXPECT_EQ(harness.server.cache().size(), 0u);
 }

@@ -42,6 +42,16 @@
  *    tracks identifiers declared as unordered containers within the
  *    file and flags range-fors whose range expression names one.
  *
+ *  - no-eager-require-message: no `require(cond, ...)` whose message
+ *    arguments (everything after the condition) call `toString(`,
+ *    `to_string(`, `format...(`, `.str(` or `.dump(`.  require() is
+ *    a function, so its arguments are built before the check runs:
+ *    such a message is formatted on every passing call, and on the
+ *    sweep paths that cost more than the model itself.  Write
+ *    `if (!(cond)) fatal(...)` instead, which formats only on
+ *    failure.  The statement may span lines: the stripped lines are
+ *    joined until its parentheses balance.
+ *
  * Allowlist entries are `rule:path-suffix:identifier`, one per line,
  * `#` comments; every entry should say why it is justified.
  *
@@ -448,6 +458,78 @@ scanNoUnorderedIterationInOutput(const SourceFile &file,
 }
 
 // ---------------------------------------------------------------------
+// Rule: no-eager-require-message.
+// ---------------------------------------------------------------------
+
+/**
+ * The message arguments of the call whose argument list opens at
+ * (@p line, @p pos): everything after the first top-level comma,
+ * joining lines until the parentheses balance.
+ */
+std::string
+messageArguments(const SourceFile &file, std::size_t line,
+                 std::size_t pos)
+{
+    std::string message;
+    bool in_message = false;
+    int depth = 1;
+    for (; line < file.code.size(); ++line, pos = 0) {
+        const std::string &code = file.code[line];
+        for (; pos < code.size(); ++pos) {
+            const char c = code[pos];
+            if (c == '(' || c == '[' || c == '{') {
+                ++depth;
+            } else if (c == ')' || c == ']' || c == '}') {
+                if (--depth == 0)
+                    return message;
+            } else if (c == ',' && depth == 1 && !in_message) {
+                in_message = true;
+                continue;
+            }
+            if (in_message)
+                message.push_back(c);
+        }
+        message.push_back(' ');
+    }
+    return message;
+}
+
+void
+scanNoEagerRequireMessage(const SourceFile &file,
+                          const Allowlist &allow,
+                          std::vector<Finding> &out)
+{
+    static const std::string kRule = "no-eager-require-message";
+    static const std::regex call(R"(\brequire\s*\()");
+    static const std::regex formatter(
+        R"(\b(toString|to_string|format\w*)\s*\(|\.\s*(str|dump)\s*\()");
+    for (std::size_t n = 0; n < file.code.size(); ++n) {
+        const std::string &code = file.code[n];
+        for (auto it = std::sregex_iterator(code.begin(), code.end(),
+                                            call);
+             it != std::sregex_iterator(); ++it) {
+            const std::string message = messageArguments(
+                file, n,
+                static_cast<std::size_t>(it->position() +
+                                         it->length()));
+            std::smatch m;
+            if (!std::regex_search(message, m, formatter))
+                continue;
+            const std::string ident =
+                m[1].matched ? m[1].str() : m[2].str();
+            if (allow.allows(kRule, file.path, ident))
+                continue;
+            out.push_back(
+                {kRule, file.path, n + 1, ident,
+                 "require() message calls '" + m.str() +
+                     "', which runs even when the check passes; "
+                     "write `if (!(cond)) fatal(...)` so the message "
+                     "is formatted only on failure"});
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Driver.
 // ---------------------------------------------------------------------
 
@@ -466,6 +548,7 @@ const Rule kRules[] = {
     {"no-nondeterminism", scanNoNondeterminism},
     {"no-unordered-iteration-in-output",
      scanNoUnorderedIterationInOutput},
+    {"no-eager-require-message", scanNoEagerRequireMessage},
 };
 
 bool
