@@ -53,11 +53,8 @@ SweepTermCache::SweepTermCache(const AmpedModel &model)
     const auto &counter = model_.opCounter();
     const std::int64_t layers = counter.config().numLayers;
     weights2_.reserve(static_cast<std::size_t>(layers));
-    gradients_.reserve(static_cast<std::size_t>(layers));
-    for (std::int64_t l = 0; l < layers; ++l) {
+    for (std::int64_t l = 0; l < layers; ++l)
         weights2_.push_back(2.0 * counter.weightsPerLayer(l));
-        gradients_.push_back(counter.gradientsPerLayer(l));
-    }
     moeActive_ = model_.options().enableMoeComm &&
                  counter.config().moe.numExperts > 0;
     if (!moeActive_) {

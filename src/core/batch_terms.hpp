@@ -192,7 +192,6 @@ class SweepTermCache
     {
         double keyA = 0.0; ///< First input (batch / eff / replica...).
         double keyB = 0.0; ///< Second input when the key is a pair.
-        std::int64_t intA = 0, intB = 0, intC = 0; ///< Grad key parts.
         double value = 0.0;
         double value2 = 0.0;
         Outcome outcome = Outcome::pending;
@@ -260,7 +259,6 @@ class SweepTermCache
 
     // Per-layer constants captured once at construction.
     std::vector<double> weights2_;   ///< 2.0 * weightsPerLayer(l).
-    std::vector<double> gradients_;  ///< gradientsPerLayer(l).
     bool moeActive_ = false; ///< enableMoeComm and >= 1 MoE layer.
 
     std::unordered_map<PairKey, std::size_t, PairKeyHash> forwardIds_;

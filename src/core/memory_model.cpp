@@ -50,6 +50,11 @@ MemoryModel::MemoryModel(model::OpCounter counter,
             "optimizerBytesPerParam must be non-negative");
     require(options_.workspaceBytes >= 0.0,
             "workspaceBytes must be non-negative");
+    // The layer sum depends on no mapping, so it is taken once here,
+    // in layer order; residentParameters() only divides it.
+    const std::int64_t layers = counter_.config().numLayers;
+    for (std::int64_t l = 0; l < layers; ++l)
+        layerParameters_ += counter_.gradientsPerLayer(l);
 }
 
 double
@@ -61,11 +66,8 @@ MemoryModel::residentParameters(
     // split across PP stages; expert banks are sharded across the
     // cluster, so a device holds ~1/E of each expert bank's weights
     // (mirroring OpCounter::gradientsPerLayer).
-    double total = 0.0;
-    for (std::int64_t l = 0; l < cfg.numLayers; ++l)
-        total += counter_.gradientsPerLayer(l);
-    double resident =
-        total / static_cast<double>(mapping.tp() * mapping.pp());
+    double resident = layerParameters_ /
+                      static_cast<double>(mapping.tp() * mapping.pp());
     // Embeddings live on the first/last stage; amortize per device.
     resident += static_cast<double>(cfg.vocabSize + cfg.seqLength) *
                 static_cast<double>(cfg.hiddenSize) /

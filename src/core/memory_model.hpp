@@ -106,6 +106,11 @@ struct MemoryFootprint
  * Thread safety: immutable after construction; footprint() / fits()
  * are const with no hidden state and safe to call concurrently
  * (the parallel Explorer screens points on a shared instance).
+ *
+ * The per-layer parameter sum does not depend on the mapping, so the
+ * constructor takes it once (in layer order) and every footprint()
+ * reuses it: a screen over a million grid points pays for the layer
+ * loop once, not once per point.
  */
 class MemoryModel
 {
@@ -155,6 +160,8 @@ class MemoryModel
     model::OpCounter counter_;
     hw::AcceleratorConfig accel_;
     MemoryOptions options_;
+    /** Sum over layers of OpCounter::gradientsPerLayer, in order. */
+    double layerParameters_ = 0.0;
 };
 
 } // namespace core

@@ -11,7 +11,9 @@
  *     constants (worker counts, parallelism degrees, grad-comm
  *     class), per-job constants (batch size, batch count), and the
  *     (job x (dp, pp)-class) table of microbatch size, microbatch
- *     count, efficiency and per-replica batch.
+ *     count, efficiency and per-replica batch.  Its rows are
+ *     independent, so they are filled in parallel over jobs; their
+ *     term keys are then registered in one serial pass in row order.
  *  2. Register every distinct per-layer sum with a
  *     core::SweepTermCache and prime it once, in parallel.
  *  3. Evaluate the grid in fixed-size blocks of contiguous raw-double

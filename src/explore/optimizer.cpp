@@ -346,13 +346,16 @@ Optimizer::optimizeOver(
             break;
         }
     }
-    // Best-first: ascending bound, grid order among equals.
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (bounds[a] != bounds[b])
-                      return bounds[a] < bounds[b];
-                  return a < b;
-              });
+    // Best-first: ascending bound, grid order among equals.  The
+    // order is ranked lazily, one chunk at a time, because the visit
+    // usually stops after a short prefix (see the tail prune below).
+    const auto visits_before = [&](std::size_t a, std::size_t b) {
+        if (bounds[a] != bounds[b])
+            return bounds[a] < bounds[b];
+        return a < b;
+    };
+    std::size_t ranked = 0; // order[0, ranked) is in final order.
+    std::size_t rank_chunk = kMaxWavePoints;
 
     // ---- Best-first waves over the survivors. ----------------------
     // Max-heap of the k best candidates; the root is the current
@@ -432,14 +435,30 @@ Optimizer::optimizeOver(
 
     std::size_t consumed = 0; // Order entries dispositioned so far.
     RunStatus search = RunStatus::Completed;
-    for (const std::size_t index : order) {
+    while (consumed < order.size()) {
+        if (consumed == ranked) {
+            // Rank the next chunk: select the smallest remaining
+            // entries, then sort only those.  The comparator is a
+            // strict total order, so the prefix equals a full sort's.
+            const auto begin = order.begin() + ranked;
+            ranked = std::min(order.size(), ranked + rank_chunk);
+            rank_chunk *= 2;
+            const auto end = order.begin() + ranked;
+            std::nth_element(begin, end, order.end(), visits_before);
+            std::sort(begin, end, visits_before);
+        }
+        const std::size_t index = order[consumed];
         // Strictly-greater prune: a bound above the k-th best key
         // means the exact time is strictly above it too (bound <=
         // exact), so the point cannot displace any ranked entry.
+        // The threshold only moves at a flush, and a flush needs an
+        // unpruned point; bounds ascend along the order, so once one
+        // point prunes, every later one does too.  The unranked tail
+        // is counted without being sorted or visited.
         if (heap.size() == request.topK && bounds[index] > kth_key) {
-            ++out.counters.prunedByBound;
-            ++consumed;
-            continue;
+            out.counters.prunedByBound += order.size() - consumed;
+            consumed = order.size();
+            break;
         }
         wave.push_back(index);
         ++consumed;

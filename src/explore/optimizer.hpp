@@ -26,7 +26,11 @@
  *     the current k-th best exact time is pruned; the rest are
  *     evaluated through the batched SoA kernel, bit-identically to
  *     Explorer::sweepAll.  Wave boundaries are independent of the
- *     thread count, so results AND counters are deterministic.
+ *     thread count, so results AND counters are deterministic.  The
+ *     order is ranked chunk by chunk as the visit reaches it, and
+ *     the first bound-prune counts the unranked tail as pruned: the
+ *     threshold moves only at a wave flush, so every later point
+ *     would prune too.
  *
  * The returned top-k is bit-pattern-identical to sorting the full
  * exhaustive sweep by (total time, grid index) and truncating —

@@ -39,6 +39,9 @@ struct DpPpKeyHash
 /** Grid points per work-queue grab inside a block. */
 constexpr std::size_t kPointChunk = 256;
 
+/** Jobs per work-queue grab while filling the (job x class) table. */
+constexpr std::size_t kJobChunk = 16;
+
 } // namespace
 
 /**
@@ -214,38 +217,35 @@ SweepKernel::SweepKernel(
         info.flopsId = cache_.registerModelFlops(job.batchSize);
     }
 
-    // ---- (job x class) microbatching table + term registration. ----
+    // ---- (job x class) microbatching table, filled in parallel. ----
+    // Every row is independent of every other, so workers fill whole
+    // jobs; each job's rows are one per class, a stride of num_jobs
+    // apart in storage.
+    const std::size_t workers =
+        max_workers > 0 ? max_workers : ThreadPool::defaultThreadCount();
     jc_.resize(num_jobs * num_classes);
-    for (std::size_t j = 0; j < num_jobs; ++j) {
-        const auto &job = jobs_[j];
-        for (std::size_t c = 0; c < num_classes; ++c) {
-            const auto &rep = mappings_[class_representative[c]];
-            JcEntry &entry = jc_[c * num_jobs + j];
-            try {
-                entry.ub = job.microbatching.microbatchSize(
-                    job.batchSize, rep);
-            } catch (const UserError &e) {
-                entry.ubKind = kUserError;
-                entry.ubMessage = e.what();
-            } catch (const std::exception &e) {
-                entry.ubKind = kError;
-                entry.ubMessage = e.what();
-            }
-            if (entry.ubKind != kOk)
-                continue;
-            try {
-                entry.nub = job.microbatching.numMicrobatches(
-                    job.batchSize, rep);
-            } catch (const UserError &e) {
-                entry.preKind = kUserError;
-                entry.preMessage = e.what();
-            } catch (const std::exception &e) {
-                entry.preKind = kError;
-                entry.preMessage = e.what();
-            }
-            if (entry.preKind == kOk) {
+    ThreadPool::shared().parallelFor(
+        num_jobs, /*chunk=*/kJobChunk,
+        [&](std::size_t j) {
+            const auto &job = jobs_[j];
+            for (std::size_t c = 0; c < num_classes; ++c) {
+                const auto &rep = mappings_[class_representative[c]];
+                JcEntry &entry = jc_[c * num_jobs + j];
                 try {
-                    entry.eff = model_.efficiency()(entry.ub);
+                    entry.ub = job.microbatching.microbatchSize(
+                        job.batchSize, rep);
+                } catch (const UserError &e) {
+                    entry.ubKind = kUserError;
+                    entry.ubMessage = e.what();
+                } catch (const std::exception &e) {
+                    entry.ubKind = kError;
+                    entry.ubMessage = e.what();
+                }
+                if (entry.ubKind != kOk)
+                    continue;
+                try {
+                    entry.nub = job.microbatching.numMicrobatches(
+                        job.batchSize, rep);
                 } catch (const UserError &e) {
                     entry.preKind = kUserError;
                     entry.preMessage = e.what();
@@ -253,16 +253,33 @@ SweepKernel::SweepKernel(
                     entry.preKind = kError;
                     entry.preMessage = e.what();
                 }
+                if (entry.preKind == kOk) {
+                    try {
+                        entry.eff = model_.efficiency()(entry.ub);
+                    } catch (const UserError &e) {
+                        entry.preKind = kUserError;
+                        entry.preMessage = e.what();
+                    } catch (const std::exception &e) {
+                        entry.preKind = kError;
+                        entry.preMessage = e.what();
+                    }
+                }
+                entry.replicaBatch =
+                    job.batchSize / static_cast<double>(rep.dp());
             }
-            entry.replicaBatch =
-                job.batchSize / static_cast<double>(rep.dp());
-            if (entry.preKind != kOk)
-                continue;
-            entry.fwdId = cache_.registerForwardCompute(job.batchSize,
-                                                        entry.eff);
-            entry.updId = cache_.registerWeightUpdate(entry.eff);
-            entry.moeId = cache_.registerMoeForward(entry.replicaBatch);
-        }
+        },
+        workers);
+
+    // ---- Term registration: serial, in storage (row) order. --------
+    // One sequential pass keeps the term ids deterministic.
+    for (std::size_t row = 0; row < jc_.size(); ++row) {
+        JcEntry &entry = jc_[row];
+        if (entry.ubKind != kOk || entry.preKind != kOk)
+            continue;
+        entry.fwdId = cache_.registerForwardCompute(
+            jobs_[row % num_jobs].batchSize, entry.eff);
+        entry.updId = cache_.registerWeightUpdate(entry.eff);
+        entry.moeId = cache_.registerMoeForward(entry.replicaBatch);
     }
 
     primeStatus_ = cache_.prime(max_workers, token_);

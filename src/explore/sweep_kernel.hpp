@@ -123,9 +123,11 @@ struct BlockColumns;
 
 /**
  * One grid's evaluation state: constant tables, primed term cache
- * and the exact per-point evaluator.  Construction is
- * single-threaded apart from the internally parallel cache prime;
- * afterwards every member function is const and thread-safe.
+ * and the exact per-point evaluator.  Construction fills the
+ * (job x class) table in parallel on the shared pool, then registers
+ * its term keys serially in row (storage) order, so term ids are
+ * deterministic, and primes the cache in parallel; afterwards every
+ * member function is const and thread-safe.
  *
  * The mapping and job vectors are held by reference and must outlive
  * the kernel (both callers — sweepJobsBatched and the Optimizer —
@@ -141,7 +143,8 @@ class SweepKernel
      * @param memory_model Optional memory screen (nullptr = off).
      * @param mappings Grid rows (mapping-major order).
      * @param jobs Grid columns.
-     * @param max_workers Parallelism cap for priming (0 = pool).
+     * @param max_workers Parallelism cap for the table fill and the
+     *        prime (0 = pool).
      * @param token Cooperative stop request, observed by the prime
      *        (see primeStatus()) and by every subsequent sweepGrid /
      *        evaluatePoints call.  Inert by default.

@@ -1,10 +1,10 @@
 /**
  * @file
  * Concurrency stress tests for the shared-state surfaces that the
- * ThreadSanitizer CI job watches: concurrent sweepAll callers on the
- * shared pool and sweep counters, the metrics registry, and
- * concurrent thread pools sharing the global instrumentation
- * counters.
+ * ThreadSanitizer CI job watches: concurrent sweepAll and
+ * optimizeOver callers on the shared pool and sweep counters, the
+ * metrics registry, and concurrent thread pools sharing the global
+ * instrumentation counters.
  *
  * These tests pass trivially under a data-race-free implementation;
  * their value is the *interleavings* they force when the suite runs
@@ -23,7 +23,10 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/memory_model.hpp"
+#include "entry_bits.hpp"
 #include "explore/explorer.hpp"
+#include "explore/optimizer.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "obs/metrics.hpp"
@@ -132,6 +135,93 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
         ASSERT_GT(result.entries.size(), 0u);
         for (const auto &entry : result.entries)
             EXPECT_EQ(entry.batchSize, 212.0 + 4.0 * t);
+    }
+}
+
+using testutil::entryBits;
+
+/**
+ * Several host threads run memory-screened optimizeOver searches on
+ * distinct grids at once, as amped serve runs optimize requests.
+ * They race each other on the shared pool through the kernel's table
+ * fill, the cache prime, the screen and the waves.  Each result must
+ * equal a serial run of the same grid, byte for byte.
+ */
+TEST(ConcurrencyStressTest, ConcurrentOptimizeOverAgree)
+{
+    constexpr int kCallers = 4;
+    const core::AmpedModel model(model::presets::minGpt85M(),
+                                 hw::presets::tinyTest(),
+                                 hw::MicrobatchEfficiency(0.8, 4.0),
+                                 stressSystem());
+    // Without recomputation, low-parallelism minGPT points overflow
+    // the tiny 4 GB device, so the screen rejects part of each grid.
+    core::MemoryOptions screen_options;
+    screen_options.activationRecompute = false;
+    const core::MemoryModel screen(
+        model::OpCounter(model::presets::minGpt85M()),
+        hw::presets::tinyTest(), screen_options);
+    const auto mappings =
+        mapping::MappingSpace(stressSystem()).enumerate();
+
+    std::vector<explore::OptimizerRequest> requests(kCallers);
+    for (int t = 0; t < kCallers; ++t) {
+        auto &request = requests[static_cast<std::size_t>(t)];
+        for (int i = 0; i < 24; ++i)
+            request.batchSizes.push_back(16.0 + 4.0 * i + t);
+        request.jobTemplate.totalTrainingTokens = 1e9;
+        request.topK = 4;
+    }
+    const auto search = [&](const explore::OptimizerRequest &request,
+                            unsigned threads) {
+        explore::Optimizer optimizer(model);
+        optimizer.setThreads(threads);
+        optimizer.setMemoryModel(screen);
+        return optimizer.optimizeOver(mappings, request);
+    };
+
+    std::vector<explore::OptimizerResult> results(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            const auto i = static_cast<std::size_t>(t);
+            results[i] = search(requests[i], 2);
+        });
+    }
+    for (auto &caller : callers)
+        caller.join();
+
+    for (std::size_t t = 0; t < kCallers; ++t) {
+        const explore::OptimizerResult serial = search(requests[t], 1);
+        const explore::OptimizerResult &got = results[t];
+        const auto &a = serial.counters;
+        const auto &b = got.counters;
+        EXPECT_GT(a.prunedByMemory, 0u) << "caller " << t;
+        EXPECT_GT(a.prunedByBound, 0u) << "caller " << t;
+        EXPECT_EQ(got.status, serial.status) << "caller " << t;
+        EXPECT_EQ(b.points, a.points) << "caller " << t;
+        EXPECT_EQ(b.cells, a.cells) << "caller " << t;
+        EXPECT_EQ(b.evaluated, a.evaluated) << "caller " << t;
+        EXPECT_EQ(b.prunedByMemory, a.prunedByMemory) << "caller " << t;
+        EXPECT_EQ(b.prunedByBound, a.prunedByBound) << "caller " << t;
+        EXPECT_EQ(b.skippedInfeasible, a.skippedInfeasible)
+            << "caller " << t;
+        EXPECT_EQ(b.feasible, a.feasible) << "caller " << t;
+        EXPECT_EQ(b.infeasible, a.infeasible) << "caller " << t;
+        EXPECT_EQ(b.overMemory, a.overMemory) << "caller " << t;
+        EXPECT_EQ(b.failed, a.failed) << "caller " << t;
+        EXPECT_EQ(b.cancelledUnvisited, a.cancelledUnvisited)
+            << "caller " << t;
+        ASSERT_EQ(got.topK.size(), serial.topK.size()) << "caller " << t;
+        ASSERT_FALSE(serial.topK.empty()) << "caller " << t;
+        for (std::size_t r = 0; r < serial.topK.size(); ++r) {
+            EXPECT_EQ(got.topK[r].mapping.toString(),
+                      serial.topK[r].mapping.toString())
+                << "caller " << t << " rank " << r;
+            EXPECT_EQ(entryBits(got.topK[r]), entryBits(serial.topK[r]))
+                << "caller " << t << " rank " << r;
+        }
     }
 }
 

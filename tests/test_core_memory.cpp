@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/units.hpp"
 #include "core/memory_model.hpp"
+#include "entry_bits.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 
@@ -179,6 +185,133 @@ TEST(MemoryModelTest, RejectsBadArguments)
     MemoryOptions bad;
     bad.optimizerBytesPerParam = -1.0;
     EXPECT_THROW(makeModel(bad), UserError);
+}
+
+using testutil::bits;
+
+/**
+ * The footprint arithmetic with the per-layer parameter loop run on
+ * every call: the reference MemoryModel's cached layer sum must match
+ * bit for bit.
+ */
+MemoryFootprint
+referenceFootprint(const model::OpCounter &counter,
+                   const hw::AcceleratorConfig &accel,
+                   const MemoryOptions &options,
+                   const mapping::ParallelismConfig &m, double microbatch)
+{
+    const auto &cfg = counter.config();
+    double total = 0.0;
+    for (std::int64_t l = 0; l < cfg.numLayers; ++l)
+        total += counter.gradientsPerLayer(l);
+    double params = total / static_cast<double>(m.tp() * m.pp());
+    params += static_cast<double>(cfg.vocabSize + cfg.seqLength) *
+              static_cast<double>(cfg.hiddenSize) /
+              static_cast<double>(m.tp() * m.pp());
+    const double dp = static_cast<double>(m.dp());
+    const double param_bytes_each =
+        accel.precisions.parameterBits.value() / units::bitsPerByte;
+
+    MemoryFootprint fp;
+    fp.parameterBytes = params * param_bytes_each;
+    fp.gradientBytes = params * param_bytes_each;
+    fp.optimizerBytes = params * options.optimizerBytesPerParam;
+    switch (options.zeroStage) {
+      case ZeroStage::none:
+        break;
+      case ZeroStage::parameters:
+        fp.parameterBytes /= dp;
+        [[fallthrough]];
+      case ZeroStage::gradients:
+        fp.gradientBytes /= dp;
+        [[fallthrough]];
+      case ZeroStage::optimizer:
+        fp.optimizerBytes /= dp;
+        break;
+    }
+
+    const double s = static_cast<double>(cfg.seqLength);
+    const double h = static_cast<double>(cfg.hiddenSize);
+    const double ffn = static_cast<double>(cfg.ffnHiddenSize);
+    const double a = static_cast<double>(cfg.numHeads);
+    const double act_bytes =
+        accel.precisions.activationBits.value() / units::bitsPerByte;
+    const double layers_per_stage = static_cast<double>(cfg.numLayers) /
+                                    static_cast<double>(m.pp());
+    const double per_layer_elements =
+        options.activationRecompute
+            ? microbatch * s * h
+            : microbatch * s * (3.0 * h + h + ffn + h + 2.0 * h) +
+                  microbatch * a * s * s;
+    const double in_flight =
+        m.pp() > 1 ? static_cast<double>(m.pp()) : 1.0;
+    fp.activationBytes = per_layer_elements * layers_per_stage *
+                         act_bytes / static_cast<double>(m.tp()) *
+                         in_flight;
+    fp.workspaceBytes = options.workspaceBytes;
+    return fp;
+}
+
+TEST(MemoryModelTest, CachedLayerSumMatchesPerLayerLoopBitwise)
+{
+    // Every preset: the MoE one matters most, because its expert
+    // layers shard their gradients (OpCounter::gradientsPerLayer).
+    const std::vector<model::TransformerConfig> models = {
+        model::presets::tinyTest(),       model::presets::minGpt85M(),
+        model::presets::minGptPipeline(), model::presets::gpt3_175B(),
+        model::presets::megatron145B(),   model::presets::megatron310B(),
+        model::presets::megatron530B(),   model::presets::megatron1T(),
+        model::presets::gpipeTransformer24(),
+        model::presets::glamMoE()};
+    const std::vector<mapping::ParallelismConfig> mappings = {
+        mapping::makeMapping(1, 1, 1, 1, 1, 1),
+        mapping::makeMapping(8, 1, 1, 1, 1, 4),  // TP8, DP4
+        mapping::makeMapping(2, 2, 2, 1, 4, 2),  // TP2, PP8, DP4
+        mapping::makeMapping(8, 1, 1, 1, 8, 16), // TP8, PP8, DP16
+    };
+    const ZeroStage stages[] = {ZeroStage::none, ZeroStage::optimizer,
+                                ZeroStage::gradients,
+                                ZeroStage::parameters};
+    const auto accel = hw::presets::a100();
+    for (const auto &cfg : models) {
+        const model::OpCounter counter(cfg);
+        for (const bool recompute : {true, false}) {
+            for (const ZeroStage stage : stages) {
+                MemoryOptions options;
+                options.zeroStage = stage;
+                options.activationRecompute = recompute;
+                const MemoryModel mm(counter, accel, options);
+                for (const auto &m : mappings) {
+                    const std::string label =
+                        cfg.name + " " + m.toString() + " " +
+                        zeroStageName(stage) +
+                        (recompute ? " recompute" : " no-recompute");
+                    const MemoryFootprint got =
+                        mm.footprint(m, 4096.0, 2.0);
+                    const MemoryFootprint want = referenceFootprint(
+                        counter, accel, options, m, 2.0);
+                    EXPECT_EQ(bits(got.parameterBytes),
+                              bits(want.parameterBytes))
+                        << label;
+                    EXPECT_EQ(bits(got.gradientBytes),
+                              bits(want.gradientBytes))
+                        << label;
+                    EXPECT_EQ(bits(got.optimizerBytes),
+                              bits(want.optimizerBytes))
+                        << label;
+                    EXPECT_EQ(bits(got.activationBytes),
+                              bits(want.activationBytes))
+                        << label;
+                    EXPECT_EQ(bits(got.workspaceBytes),
+                              bits(want.workspaceBytes))
+                        << label;
+                    EXPECT_EQ(bits(got.totalBytes()),
+                              bits(want.totalBytes()))
+                        << label;
+                }
+            }
+        }
+    }
 }
 
 TEST(MemoryModelTest, ZeroStageNamesAndOverheads)

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/memory_model.hpp"
+#include "entry_bits.hpp"
 #include "explore/batch.hpp"
 #include "explore/explorer.hpp"
 #include "hw/presets.hpp"
@@ -67,32 +68,8 @@ minGptModel()
                             testSystem());
 }
 
-std::uint64_t
-bits(double value)
-{
-    std::uint64_t out = 0;
-    static_assert(sizeof(out) == sizeof(value));
-    std::memcpy(&out, &value, sizeof(out));
-    return out;
-}
-
-/** Every numeric field of one sweep entry, as bit patterns. */
-std::vector<std::uint64_t>
-entryBits(const SweepEntry &entry)
-{
-    const auto &r = entry.result;
-    const auto &b = r.perBatch;
-    return {bits(entry.batchSize),      bits(b.computeForward),
-            bits(b.computeBackward),    bits(b.weightUpdate),
-            bits(b.commTpIntra),        bits(b.commTpInter),
-            bits(b.commPp),             bits(b.commMoe),
-            bits(b.commGradIntra),      bits(b.commGradInter),
-            bits(b.bubble),             bits(r.timePerBatch),
-            bits(r.numBatches),         bits(r.totalTime),
-            bits(r.microbatchSize),     bits(r.numMicrobatches),
-            bits(r.efficiency),         bits(r.achievedFlopsPerGpu),
-            bits(r.tokensPerSecond)};
-}
+using testutil::bits;
+using testutil::entryBits;
 
 /**
  * Runs one (mappings x jobs) grid through the given engine at the

@@ -11,7 +11,9 @@
  *     counts 1, 2 and 8.  Counters must be thread-count-invariant
  *     and partition the grid exactly; any grid where the bound
  *     pruned points while the ranking still matches brute force is
- *     direct evidence the bound never discarded a true winner.
+ *     direct evidence the bound never discarded a true winner.  Two
+ *     larger grids, one of them NaN-pinned throughout, take the
+ *     search past the first ranked chunk of its visit order.
  *  2. Degenerate searches.  Infeasible-everywhere grids, one-device
  *     clusters, prime device counts and expert-parallel requests on
  *     dense models must produce diagnosable empty/short results or
@@ -25,7 +27,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
@@ -33,6 +34,7 @@
 
 #include "common/error.hpp"
 #include "core/memory_model.hpp"
+#include "entry_bits.hpp"
 #include "explore/explorer.hpp"
 #include "explore/optimizer.hpp"
 #include "hw/presets.hpp"
@@ -77,32 +79,8 @@ minGptModel()
                             testSystem());
 }
 
-std::uint64_t
-bits(double value)
-{
-    std::uint64_t out = 0;
-    static_assert(sizeof(out) == sizeof(value));
-    std::memcpy(&out, &value, sizeof(out));
-    return out;
-}
-
-/** Every numeric field of one sweep entry, as bit patterns. */
-std::vector<std::uint64_t>
-entryBits(const SweepEntry &entry)
-{
-    const auto &r = entry.result;
-    const auto &b = r.perBatch;
-    return {bits(entry.batchSize),      bits(b.computeForward),
-            bits(b.computeBackward),    bits(b.weightUpdate),
-            bits(b.commTpIntra),        bits(b.commTpInter),
-            bits(b.commPp),             bits(b.commMoe),
-            bits(b.commGradIntra),      bits(b.commGradInter),
-            bits(b.bubble),             bits(r.timePerBatch),
-            bits(r.numBatches),         bits(r.totalTime),
-            bits(r.microbatchSize),     bits(r.numMicrobatches),
-            bits(r.efficiency),         bits(r.achievedFlopsPerGpu),
-            bits(r.tokensPerSecond)};
-}
+using testutil::bits;
+using testutil::entryBits;
 
 /**
  * Brute-force reference ranking: evaluate the whole grid with the
@@ -293,6 +271,80 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     EXPECT_GT(totals.skippedInfeasible, 0u);
     EXPECT_GT(totals.failed, 0u);
     EXPECT_LT(totals.evaluated, totals.points);
+}
+
+/**
+ * A testSystem() grid larger than the optimizer's first two ranked
+ * chunks of the visit order (4096 + 8192 entries), so the second
+ * chunk is selected out of a larger remainder: all 31 mappings x 640
+ * batch sizes.
+ */
+OptimizerRequest
+largeGridRequest(std::size_t top_k)
+{
+    OptimizerRequest request;
+    for (int i = 0; i < 640; ++i)
+        request.batchSizes.push_back(64.0 + 8.0 * i);
+    request.jobTemplate.totalTrainingTokens = 1e9;
+    request.topK = top_k;
+    return request;
+}
+
+/** Runs @p request at 1, 2 and 8 threads against brute force. */
+OptimizerResult
+expectLargeGridMatchesBruteForce(const OptimizerRequest &request)
+{
+    const auto model = tinyModel();
+    const auto mappings = mapping::MappingSpace(testSystem()).enumerate(
+        model.opCounter().config().numLayers);
+    const auto ref =
+        bruteForceTopK(model, nullptr, mappings, request.batchSizes,
+                       request.jobTemplate, request.topK);
+    EXPECT_EQ(ref.size(), request.topK);
+
+    const auto at1 = runOptimizer(model, nullptr, 1, mappings, request);
+    expectSameRanking(ref, at1.topK, "optimize@1");
+    expectCountersPartition(at1.counters, "optimize@1");
+    for (const unsigned threads : {2u, 8u}) {
+        const auto got =
+            runOptimizer(model, nullptr, threads, mappings, request);
+        const std::string label = "optimize@" + std::to_string(threads);
+        expectSameRanking(ref, got.topK, label.c_str());
+        expectSameCounters(at1.counters, got.counters, label.c_str());
+    }
+    return at1;
+}
+
+TEST(ExploreOptimizerProperty, TopKMatchesBruteForcePastTheFirstRankedChunk)
+{
+    // Filling the heap visits more than the first 4096 ranked
+    // entries, so the search ranks a second chunk of the visit order
+    // before the tail prunes.  At top 9000 the visit reads most of
+    // that chunk, which a chunk not selected from the whole
+    // remainder gets wrong.
+    for (const std::size_t top_k : {5000u, 9000u}) {
+        const auto result =
+            expectLargeGridMatchesBruteForce(largeGridRequest(top_k));
+        EXPECT_GT(result.counters.evaluated, 4096u) << "top " << top_k;
+        EXPECT_GT(result.counters.prunedByBound, 0u) << "top " << top_k;
+        EXPECT_EQ(result.counters.failed, 0u) << "top " << top_k;
+    }
+}
+
+TEST(ExploreOptimizerProperty, NaNPinnedGridVisitsEverySurvivor)
+{
+    // Every point NaN-pins, so every bound is +inf and nothing can
+    // prune: the search must rank and visit the whole order.
+    OptimizerRequest request = largeGridRequest(5000);
+    request.jobTemplate.numBatchesOverride =
+        std::numeric_limits<double>::infinity();
+    const auto result = expectLargeGridMatchesBruteForce(request);
+    const OptimizerCounters &c = result.counters;
+    EXPECT_EQ(c.prunedByBound, 0u);
+    EXPECT_EQ(c.evaluated,
+              c.points - c.skippedInfeasible - c.prunedByMemory);
+    EXPECT_EQ(c.failed, c.evaluated);
+    EXPECT_GT(c.evaluated, request.topK);
 }
 
 // ---------------------------------------------------------------------
