@@ -66,7 +66,7 @@ main(int argc, char **argv)
     const auto system = net::presets::a100Cluster1024();
     const auto model = bench::caseStudyModel(system);
     // The uncapped 360-mapping enumeration — the exact 1,008,000-
-    // point grid the sweep perf gate (bench/BENCH_sweep.json) times.
+    // point grid the CI sweep A/B (tools/sweep_ab.py) times.
     const auto mappings =
         mapping::MappingSpace(system).enumerate();
     const auto batches = batchAxis();

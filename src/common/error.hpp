@@ -16,6 +16,8 @@
 #ifndef AMPED_COMMON_ERROR_HPP
 #define AMPED_COMMON_ERROR_HPP
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -49,9 +51,18 @@ concatMessage(Args &&...args)
     return oss.str();
 }
 
-/** Aborts with a panic message; never returns. */
-[[noreturn]] void panicImpl(const char *file, int line,
-                            const std::string &message);
+/**
+ * Aborts with a panic message; never returns.  Inline so that this
+ * header needs no compiled code: amped_obs, which amped_common links,
+ * asserts through it too.
+ */
+[[noreturn]] inline void
+panicImpl(const char *file, int line, const std::string &message)
+{
+    std::fprintf(stderr, "panic: %s (%s:%d)\n", message.c_str(), file,
+                 line);
+    std::abort();
+}
 
 } // namespace detail
 

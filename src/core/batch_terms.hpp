@@ -17,15 +17,16 @@
  *   - model FLOPs:       global batch
  *
  * SweepTermCache deduplicates those inputs, computes each distinct
- * sum once (in parallel), and serves the results to the batched sweep
- * kernels (explore/batch.cpp) as O(1) array lookups.
+ * sum once (in parallel), and serves the results to the sweep kernel
+ * (explore/sweep_kernel.cpp) as O(1) array lookups.
  *
  * Bit-exactness contract: every cached value is produced by the same
  * floating-point operations, in the same order, on the same inputs as
  * the scalar evaluator — per-layer sub-accumulators included — so a
  * sweep evaluated through this cache is byte-identical to one
  * evaluated through AmpedModel::evaluate.  tests/test_explore_batch.cpp
- * asserts this property over randomized grids; the goldens pin it for
+ * asserts this property over randomized grids against a per-point
+ * evaluate() loop (tests/reference_sweep.hpp); the goldens pin it for
  * the paper's case studies.  Any change to the scalar term order must
  * be mirrored here (and vice versa), or the property test fails.
  *
@@ -33,8 +34,9 @@
  * cached sum throws (the scalar path would throw the same exception
  * at every point sharing the inputs), the entry is poisoned and the
  * lookup rethrows an exception of the same category (UserError vs
- * other) with the same message, so the sweep engine classifies the
- * point exactly as the scalar engine would (skip vs NaN-pin).
+ * other) with the same message, so the sweep kernel classifies the
+ * point exactly as a per-point evaluate() call would (skip vs
+ * NaN-pin).
  *
  * Thread safety: construction and register*() calls are
  * single-threaded; prime() fills all registered entries (internally

@@ -2,35 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
-#include <string_view>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
-#include "explore/batch.hpp"
+#include "explore/sweep_kernel.hpp"
 #include "obs/metrics.hpp"
 
 namespace amped {
 namespace explore {
 
 namespace {
-
-/**
- * Construction-time engine default: the batched SoA kernels unless
- * AMPED_SWEEP_ENGINE=scalar asks for the historical per-point loop
- * (escape hatch; the two engines are byte-identical).
- */
-bool
-defaultBatchMode()
-{
-    const char *env = std::getenv("AMPED_SWEEP_ENGINE");
-    return env == nullptr || std::string_view(env) != "scalar";
-}
 
 /** Sort key mapping NaN to +infinity (strict weak ordering safe). */
 double
@@ -43,9 +28,7 @@ timeKey(const SweepEntry &entry)
 
 } // namespace
 
-Explorer::Explorer(core::AmpedModel model)
-    : model_(std::move(model)), batchMode_(defaultBatchMode())
-{}
+Explorer::Explorer(core::AmpedModel model) : model_(std::move(model)) {}
 
 void
 Explorer::setMemoryModel(core::MemoryModel memory_model)
@@ -88,153 +71,22 @@ Explorer::sweepJobs(
         metrics.histogram("explore.sweep.seconds", /*timing=*/true);
     obs::ScopedTimer timer(sweep_seconds);
 
-    SweepResult out;
     const std::size_t count = mappings.size() * jobs.size();
     points_counter.add(count);
     if (count == 0)
-        return out;
+        return SweepResult{};
 
-    if (batchMode_) {
-        out = sweepJobsBatched(
-            model_, memoryModel_ ? &*memoryModel_ : nullptr, mappings,
-            jobs,
-            threads_ > 0 ? threads_
-                         : ThreadPool::defaultThreadCount(),
-            token_);
-    } else {
-        out = sweepJobsScalar(mappings, jobs);
-    }
+    const unsigned workers =
+        threads_ > 0 ? threads_ : ThreadPool::defaultThreadCount();
+    const SweepKernel kernel(model_,
+                             memoryModel_ ? &*memoryModel_ : nullptr,
+                             mappings, jobs, workers, token_);
+    SweepResult out = kernel.sweepGrid(workers);
 
     feasible_counter.add(out.entries.size() - out.failed);
     infeasible_counter.add(out.skipped);
     over_memory_counter.add(out.memorySkipped);
     failed_counter.add(out.failed);
-    return out;
-}
-
-SweepResult
-Explorer::sweepJobsScalar(
-    const std::vector<mapping::ParallelismConfig> &mappings,
-    const std::vector<core::TrainingJob> &jobs) const
-{
-    SweepResult out;
-    const std::size_t count = mappings.size() * jobs.size();
-
-    // Grid order is mapping-major (all jobs of mapping 0, then
-    // mapping 1, ...), matching the historical serial double loop.
-    // Every point writes only its own slot; the reduction below
-    // walks the slots in grid order, so entries and skip counters
-    // come out identical to a serial run at any thread count.
-    enum class PointStatus : unsigned char
-    {
-        infeasible,
-        overMemory,
-        feasible,
-        failedPoint
-    };
-    std::vector<PointStatus> status(count, PointStatus::infeasible);
-    std::vector<core::EvaluationResult> results(count);
-    std::vector<std::string> failures(count);
-
-    const auto evaluatePoint = [&](std::size_t index) {
-        const auto &m = mappings[index / jobs.size()];
-        const core::TrainingJob &job = jobs[index % jobs.size()];
-        try {
-            if (memoryModel_) {
-                const double ub = job.microbatching.microbatchSize(
-                    job.batchSize, m);
-                if (!memoryModel_->fits(m, job.batchSize, ub)) {
-                    status[index] = PointStatus::overMemory;
-                    return;
-                }
-            }
-            results[index] = model_.evaluate(m, job);
-            if (!std::isfinite(results[index].totalTime)) {
-                // Evaluation "succeeded" but produced garbage —
-                // degrade the point instead of poisoning rankings.
-                status[index] = PointStatus::failedPoint;
-                failures[index] = "non-finite total time";
-                return;
-            }
-            status[index] = PointStatus::feasible;
-        } catch (const UserError &) {
-            // Infeasible point (batch too small, bad mapping):
-            // skip it, keep sweeping.
-            status[index] = PointStatus::infeasible;
-        } catch (const std::exception &e) {
-            // Anything else is a real evaluation failure; NaN-pin
-            // the point so one broken point cannot kill the sweep.
-            status[index] = PointStatus::failedPoint;
-            failures[index] = e.what();
-        }
-    };
-
-    // Blocked like the batched engine (kSweepBlockPoints points per
-    // block, one checkpoint before each), so the two engines share
-    // one cancellation granularity and produce the same deterministic
-    // prefixes.  A point costs microseconds; chunks of 8 keep the
-    // cursor cold.
-    for (std::size_t base = 0; base < count;
-         base += kSweepBlockPoints) {
-        const RunStatus stop = token_.checkpoint();
-        if (stop != RunStatus::Completed) {
-            out.status = stop;
-            out.cancelledUnvisited = count - base;
-            return out;
-        }
-
-        const std::size_t block =
-            std::min(kSweepBlockPoints, count - base);
-        const RunStatus loop = ThreadPool::shared().parallelFor(
-            block, /*chunk=*/8,
-            [&](std::size_t i) { evaluatePoint(base + i); }, token_,
-            threads_ > 0 ? threads_
-                         : ThreadPool::defaultThreadCount());
-        if (loop != RunStatus::Completed) {
-            // Mid-block stop: slots are torn; discard the block.
-            out.status = loop;
-            out.cancelledUnvisited = count - base;
-            return out;
-        }
-
-        for (std::size_t index = base; index < base + block;
-             ++index) {
-            switch (status[index]) {
-            case PointStatus::feasible: {
-                SweepEntry entry;
-                entry.mapping = mappings[index / jobs.size()];
-                entry.batchSize = jobs[index % jobs.size()].batchSize;
-                entry.result = std::move(results[index]);
-                out.entries.push_back(std::move(entry));
-                break;
-            }
-            case PointStatus::infeasible:
-                ++out.skipped;
-                break;
-            case PointStatus::overMemory:
-                ++out.memorySkipped;
-                break;
-            case PointStatus::failedPoint: {
-                // Serial reduction loop: warnings come out in grid
-                // order at every thread count.
-                const auto &m = mappings[index / jobs.size()];
-                const double batch =
-                    jobs[index % jobs.size()].batchSize;
-                log::warn("sweep point ", m.toString(), " batch ",
-                          batch, " failed (", failures[index],
-                          "); pinning it to nan");
-                SweepEntry entry;
-                entry.mapping = m;
-                entry.batchSize = batch;
-                entry.result = nanPinnedResult();
-                out.entries.push_back(std::move(entry));
-                ++out.failed;
-                break;
-            }
-            }
-        }
-        out.visitedPoints += block;
-    }
     return out;
 }
 

@@ -9,7 +9,8 @@
  * the mapping, pipeline deeper than the layer count), ranks the
  * rest, and renders report tables.
  *
- * Sweeps run in parallel on the shared ThreadPool: the (mapping x
+ * Sweeps run in parallel on the shared ThreadPool through one
+ * explore::SweepKernel (explore/sweep_kernel.hpp): the (mapping x
  * job) grid is enumerated up front, each point is evaluated into a
  * slot indexed by its grid position, and the slots are reduced in
  * grid order afterwards — so entry order, skip counters, tables and
@@ -150,24 +151,6 @@ class Explorer
     const CancelToken &cancelToken() const { return token_; }
 
     /**
-     * Selects the sweep evaluation engine.  true (the default) runs
-     * the batched structure-of-arrays kernels (explore/batch.hpp);
-     * false runs the historical scalar per-point loop.  The two
-     * engines are byte-identical — entries, counters, NaN pinning and
-     * warning lines — so this only trades wall clock; the scalar path
-     * is kept as the differential-testing reference and as an escape
-     * hatch.
-     *
-     * The construction-time default honours the AMPED_SWEEP_ENGINE
-     * environment variable: "scalar" starts Explorers on the scalar
-     * path, "batch" (or unset, or anything else) on the batched one.
-     */
-    void setBatchMode(bool batched) { batchMode_ = batched; }
-
-    /** True when sweeps run the batched SoA engine. */
-    bool batchMode() const { return batchMode_; }
-
-    /**
      * The entry with the lowest total training time, if any.
      * NaN-pinned (failed) entries rank last, so they are only
      * returned when nothing real was evaluated.
@@ -200,15 +183,9 @@ class Explorer
     void clearMemoryModel() { memoryModel_.reset(); }
 
   private:
-    /** The historical per-point evaluation loop (reference engine). */
-    SweepResult sweepJobsScalar(
-        const std::vector<mapping::ParallelismConfig> &mappings,
-        const std::vector<core::TrainingJob> &jobs) const;
-
     core::AmpedModel model_;
     std::optional<core::MemoryModel> memoryModel_;
     unsigned threads_ = 0;
-    bool batchMode_;
     CancelToken token_;
 };
 

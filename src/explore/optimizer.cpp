@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "explore/batch.hpp"
 #include "explore/sweep_kernel.hpp"
 #include "mapping/parallelism.hpp"
 #include "obs/metrics.hpp"

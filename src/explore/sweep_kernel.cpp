@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "explore/batch.hpp"
 
 namespace amped {
 namespace explore {
@@ -129,6 +129,32 @@ packResult(const BlockColumns &cols, std::size_t slot,
 }
 
 } // namespace
+
+core::EvaluationResult
+nanPinnedResult()
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    core::EvaluationResult result;
+    result.perBatch.computeForward = nan;
+    result.perBatch.computeBackward = nan;
+    result.perBatch.weightUpdate = nan;
+    result.perBatch.commTpIntra = nan;
+    result.perBatch.commTpInter = nan;
+    result.perBatch.commPp = nan;
+    result.perBatch.commMoe = nan;
+    result.perBatch.commGradIntra = nan;
+    result.perBatch.commGradInter = nan;
+    result.perBatch.bubble = nan;
+    result.timePerBatch = nan;
+    result.numBatches = nan;
+    result.totalTime = nan;
+    result.microbatchSize = nan;
+    result.numMicrobatches = nan;
+    result.efficiency = nan;
+    result.achievedFlopsPerGpu = nan;
+    result.tokensPerSecond = nan;
+    return result;
+}
 
 SweepKernel::SweepKernel(
     const core::AmpedModel &model,

@@ -1,30 +1,48 @@
 /**
  * @file
- * The shared per-point evaluation kernel behind the batched sweep
- * engine and the branch-and-bound strategy optimizer.
+ * The sweep engine: one evaluation kernel behind every Explorer sweep
+ * and the branch-and-bound strategy optimizer.
  *
- * explore/batch.hpp documents the batched structure-of-arrays sweep;
- * this header factors its machinery into a reusable object so that
- * explore/optimizer.hpp can evaluate *individual* surviving grid
- * points through the exact same code path.  A SweepKernel owns, for
- * one (mappings x jobs) grid:
+ * The scalar path, core::AmpedModel::evaluate, costs four per-layer
+ * loops and one std::vector allocation per layer at every point.  A
+ * SweepKernel restructures the same computation around one
+ * (mappings x jobs) grid:
  *
- *  1. The grid-constant tables: per-mapping facts (MappingInfo),
- *     per-job facts (JobInfo), and the (job x (dp, pp)-class) table
- *     of microbatching facts (JcEntry).  Two mappings share a class
- *     when they agree on the total data-parallel and pipeline
- *     degrees; within a class every compute term of the additive
- *     model is constant and only the communication terms vary with
- *     the intra/inter split.
- *  2. A primed core::SweepTermCache serving every distinct per-layer
- *     sum as an O(1) lookup.
- *  3. The per-point evaluator that classifies a grid point as
- *     feasible / infeasible / over-memory / failed and assembles its
- *     core::EvaluationResult — bit-identical to the scalar
- *     AmpedModel::evaluate path (the contract in
- *     core/batch_terms.hpp), regardless of whether the point is
- *     reached by the full-grid block sweep (sweepGrid) or by an
- *     index list (evaluatePoints).
+ *  1. Enumerate the grid's distinct sub-problems: per-mapping facts
+ *     (MappingInfo: worker counts, parallelism degrees, grad-comm
+ *     class), per-job facts (JobInfo: batch size, batch count), and
+ *     the (job x (dp, pp)-class) table of microbatching facts
+ *     (JcEntry: microbatch size, microbatch count, efficiency,
+ *     per-replica batch).  Two mappings share a class when they agree
+ *     on the total data-parallel and pipeline degrees; within a class
+ *     every compute term of the additive model is constant and only
+ *     the communication terms vary with the intra/inter split.  The
+ *     table's rows are independent, so they are filled in parallel
+ *     over jobs; their term keys are then registered in one serial
+ *     pass in row order.
+ *  2. Register every distinct per-layer sum with a
+ *     core::SweepTermCache and prime it once, in parallel.
+ *  3. Evaluate points in fixed-size blocks of contiguous raw-double
+ *     columns (structure of arrays): each worker fills the output
+ *     columns for a chunk of points with O(1) work per point —
+ *     cached-sum lookups plus the cheap closed-form per-point terms.
+ *     Quantity types are unwrapped at the column boundary and
+ *     re-wrapped at reduction, exactly as the scalar path unwraps
+ *     them into core::Breakdown.  The per-point evaluator classifies
+ *     a point as feasible / infeasible / over-memory / failed the same
+ *     way whether it is reached by the full-grid block sweep
+ *     (sweepGrid) or by an index list (evaluatePoints).
+ *  4. sweepGrid reduces each block serially in grid order into a
+ *     SweepResult.
+ *
+ * The result is byte-identical to calling AmpedModel::evaluate point
+ * by point in mapping-major order — entry order and values, skip /
+ * memory-skip / failed counters, NaN pinning, and the grid-ordered
+ * warning lines — at every thread count (see the bit-exactness
+ * contract in core/batch_terms.hpp).  The kernel exists purely for
+ * throughput: the goldens and the property tests in
+ * tests/test_explore_batch.cpp hold it to the bytes of a plain
+ * per-point loop kept in the tests (tests/reference_sweep.hpp).
  *
  * The class tables and the term cache are deliberately exposed
  * read-only: the optimizer's admissible lower bounds are assembled
@@ -36,6 +54,7 @@
 #ifndef AMPED_EXPLORE_SWEEP_KERNEL_HPP
 #define AMPED_EXPLORE_SWEEP_KERNEL_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +66,22 @@
 namespace amped {
 namespace explore {
 
-/** Mirrors the scalar sweep's per-point classification. */
+/**
+ * Points per SoA block: caps column memory at a few megabytes, and —
+ * because sweepGrid calls CancelToken::checkpoint() exactly once per
+ * block — defines the cancellation granularity: a stopped sweep's
+ * result is always a whole number of blocks.
+ */
+inline constexpr std::size_t kSweepBlockPoints = std::size_t{1} << 16;
+
+/**
+ * A result with every numeric field pinned to NaN — the golden
+ * layer's marker for "this point has no value".  Failed points are
+ * degraded to it.
+ */
+core::EvaluationResult nanPinnedResult();
+
+/** How one grid point was classified. */
 enum class PointStatus : unsigned char
 {
     infeasible,
@@ -105,7 +139,7 @@ struct JcEntry
     std::string ubMessage;
     /**
      * First failure of the remaining pre-term steps, recorded in
-     * scalar evaluation order: numMicrobatches, then efficiency.
+     * the scalar path's order: numMicrobatches, then efficiency.
      */
     FailKind preKind = kOk;
     std::string preMessage;
@@ -130,8 +164,8 @@ struct BlockColumns;
  * member function is const and thread-safe.
  *
  * The mapping and job vectors are held by reference and must outlive
- * the kernel (both callers — sweepJobsBatched and the Optimizer —
- * own them for the duration of the search).
+ * the kernel (both callers — Explorer::sweepJobs and the Optimizer
+ * — own them for the duration of the search).
  */
 class SweepKernel
 {
@@ -172,9 +206,9 @@ class SweepKernel
     };
 
     /**
-     * Evaluates the whole grid with the batched SoA block loop and
-     * reduces it in grid order — the engine behind sweepJobsBatched
-     * (see explore/batch.hpp for the byte-identity contract).
+     * Evaluates the whole grid with the SoA block loop and reduces it
+     * in grid order — the engine behind Explorer::sweepJobs (the
+     * byte-identity contract is in the file comment).
      *
      * The construction token is checkpointed once before each block;
      * a stop returns the deterministic block-prefix (status /
@@ -262,7 +296,7 @@ class SweepKernel
     const std::vector<mapping::ParallelismConfig> &mappings_;
     const std::vector<core::TrainingJob> &jobs_;
 
-    // Model-option scalars hoisted once (names match batch.cpp).
+    // Model-option scalars hoisted once.
     double layersD_ = 0.0;
     double seqD_ = 0.0;
     double bwdCompute_ = 0.0;

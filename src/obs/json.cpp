@@ -20,12 +20,11 @@ formatDouble(double value)
         return "nan";
     if (std::isinf(value))
         return value > 0.0 ? "inf" : "-inf";
-    // Shortest precision that survives a parse round trip (same
-    // policy as testing/golden's formatCanonical).  The stream is
-    // pinned to the classic locale and the reparse goes through the
-    // locale-independent parseDouble, so a process-wide
+    // Shortest precision that survives a parse round trip.  The
+    // stream is pinned to the classic locale and the reparse goes
+    // through the locale-independent parseDouble, so a process-wide
     // std::locale::global(de_DE) cannot change a single byte of
-    // rendered JSON.
+    // rendered JSON or golden files.
     for (int precision = 1; precision <= 17; ++precision) {
         std::ostringstream oss;
         oss.imbue(std::locale::classic());

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/math_util.hpp"
+#include "obs/json.hpp"
 
 namespace amped {
 namespace testing {
@@ -70,36 +71,36 @@ DiffReport::render(const std::string &label,
     if (clean()) {
         oss << "OK: " << compared
             << " metrics within tolerance (abs "
-            << formatCanonical(options.absTol) << ", rel "
-            << formatCanonical(options.relTol) << ")\n";
+            << obs::formatDouble(options.absTol) << ", rel "
+            << obs::formatDouble(options.relTol) << ")\n";
         return oss.str();
     }
     oss << entries.size() << " difference"
         << (entries.size() == 1 ? "" : "s") << " (" << compared
         << " metrics compared, abs tol "
-        << formatCanonical(options.absTol) << ", rel tol "
-        << formatCanonical(options.relTol) << ")\n";
+        << obs::formatDouble(options.absTol) << ", rel tol "
+        << obs::formatDouble(options.relTol) << ")\n";
     for (const auto &entry : entries) {
         switch (entry.kind) {
         case DiffKind::valueMismatch:
             oss << "  MISMATCH " << entry.key << ": expected "
-                << formatCanonical(entry.expected) << " actual "
-                << formatCanonical(entry.actual) << " (abs err "
-                << formatCanonical(
+                << obs::formatDouble(entry.expected) << " actual "
+                << obs::formatDouble(entry.actual) << " (abs err "
+                << obs::formatDouble(
                        std::fabs(entry.expected - entry.actual))
                 << ", rel err "
-                << formatCanonical(
+                << obs::formatDouble(
                        relErrorOf(entry.expected, entry.actual))
                 << ")\n";
             break;
         case DiffKind::missingKey:
             oss << "  MISSING  " << entry.key << ": expected "
-                << formatCanonical(entry.expected)
+                << obs::formatDouble(entry.expected)
                 << " but the key is absent from the output\n";
             break;
         case DiffKind::extraKey:
             oss << "  EXTRA    " << entry.key << ": output has "
-                << formatCanonical(entry.actual)
+                << obs::formatDouble(entry.actual)
                 << " but the golden does not pin this key\n";
             break;
         }

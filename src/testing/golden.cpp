@@ -3,37 +3,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <locale>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/parse_num.hpp"
+#include "obs/json.hpp"
 
 namespace amped {
 namespace testing {
-
-std::string
-formatCanonical(double value)
-{
-    if (std::isnan(value))
-        return "nan";
-    if (std::isinf(value))
-        return value > 0.0 ? "inf" : "-inf";
-    // Shortest precision that survives a parse round trip.  Classic-
-    // locale stream + locale-independent reparse: golden bytes are
-    // identical no matter what locale the process runs under.
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::ostringstream oss;
-        oss.imbue(std::locale::classic());
-        oss.precision(precision);
-        oss << value;
-        const std::string text = oss.str();
-        if (parseDouble(text.c_str()) == value)
-            return text;
-    }
-    AMPED_ASSERT(false, "17 significant digits must round-trip");
-    return {};
-}
 
 void
 GoldenRecord::add(const std::string &key, double value)
@@ -61,7 +38,7 @@ GoldenRecord::serialize(std::ostream &os) const
 {
     os << "# amped-golden v1\n";
     for (const auto &entry : entries_)
-        os << entry.key << '\t' << formatCanonical(entry.value)
+        os << entry.key << '\t' << obs::formatDouble(entry.value)
            << '\n';
 }
 

@@ -6,7 +6,7 @@
  * A GoldenRecord is an ordered list of (key, double) metrics.  The
  * canonical serialization is line-oriented TSV — one `key<TAB>value`
  * per line, '#' comments, values rendered with the shortest
- * representation that round-trips through strtod — so goldens are
+ * representation that round-trips (obs::formatDouble) — so goldens are
  * diffable by humans and stable across platforms up to floating-
  * point noise (which the tolerance-aware diff in diff.hpp absorbs).
  *
@@ -33,12 +33,6 @@ struct GoldenEntry
     std::string key;    ///< Hierarchical name ("fig4/TP2_PP64/b8192/days").
     double value = 0.0; ///< The pinned number (NaN = infeasible point).
 };
-
-/**
- * Renders a double as the shortest decimal string that parses back
- * to the identical bits (canonical golden representation).
- */
-std::string formatCanonical(double value);
 
 /**
  * An ordered, key-unique collection of metrics.

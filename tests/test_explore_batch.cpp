@@ -1,16 +1,17 @@
 /**
  * @file
- * Differential tests of the batched SoA sweep engine
- * (explore/batch.hpp) against the scalar reference loop.
+ * Differential tests of the sweep kernel (explore/sweep_kernel.hpp),
+ * run through Explorer::sweepJobs, against the per-point reference
+ * loop in reference_sweep.hpp.
  *
- * The batch engine's contract is *byte*-identity, not approximate
+ * The kernel's contract is *byte*-identity, not approximate
  * agreement: entries in the same order, every result field with the
  * same bit pattern (including the NaN pinning of failed points),
  * the same skip/memory/failed counters, and the same warning lines
  * on stderr.  The property test below drives ~200 randomized grids
  * — mixed feasible / infeasible / over-memory / poisoned points,
  * with and without a memory screen, with microbatching overrides —
- * through both engines at thread counts 1, 2 and 8 and asserts
+ * through the Explorer at thread counts 1, 2 and 8 and asserts
  * exactly that.
  */
 
@@ -26,10 +27,11 @@
 
 #include "core/memory_model.hpp"
 #include "entry_bits.hpp"
-#include "explore/batch.hpp"
 #include "explore/explorer.hpp"
+#include "explore/sweep_kernel.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
+#include "reference_sweep.hpp"
 
 namespace amped {
 namespace explore {
@@ -72,19 +74,17 @@ using testutil::bits;
 using testutil::entryBits;
 
 /**
- * Runs one (mappings x jobs) grid through the given engine at the
- * given thread cap, capturing the warning stream.
+ * Runs one (mappings x jobs) grid through the Explorer at the given
+ * thread cap, capturing the warning stream.
  */
 SweepResult
-runEngine(const core::AmpedModel &model,
-          const core::MemoryModel *screen, bool batched,
-          unsigned threads,
-          const std::vector<mapping::ParallelismConfig> &mappings,
-          const std::vector<core::TrainingJob> &jobs,
-          std::string &stderr_text)
+runExplorer(const core::AmpedModel &model,
+            const core::MemoryModel *screen, unsigned threads,
+            const std::vector<mapping::ParallelismConfig> &mappings,
+            const std::vector<core::TrainingJob> &jobs,
+            std::string &stderr_text)
 {
     Explorer explorer(model);
-    explorer.setBatchMode(batched);
     explorer.setThreads(threads);
     if (screen != nullptr)
         explorer.setMemoryModel(*screen);
@@ -100,6 +100,8 @@ expectIdentical(const SweepResult &ref, const SweepResult &got,
                 const std::string &ref_stderr,
                 const std::string &got_stderr, const char *label)
 {
+    EXPECT_EQ(ref.status, got.status) << label;
+    EXPECT_EQ(ref.visitedPoints, got.visitedPoints) << label;
     EXPECT_EQ(ref.skipped, got.skipped) << label;
     EXPECT_EQ(ref.memorySkipped, got.memorySkipped) << label;
     EXPECT_EQ(ref.failed, got.failed) << label;
@@ -176,33 +178,26 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
             jobs.push_back(job);
         }
 
-        std::string ref_stderr;
-        const auto ref = runEngine(model, mem, /*batched=*/false,
-                                   /*threads=*/1, mappings, jobs,
-                                   ref_stderr);
+        testing::internal::CaptureStderr();
+        const auto ref =
+            testutil::referenceSweep(model, mem, mappings, jobs);
+        const std::string ref_stderr =
+            testing::internal::GetCapturedStderr();
         total_feasible += ref.entries.size() - ref.failed;
         total_skipped += ref.skipped;
         total_memory += ref.memorySkipped;
         total_failed += ref.failed;
 
-        const struct
-        {
-            bool batched;
-            unsigned threads;
-            const char *label;
-        } variants[] = {{false, 2, "scalar@2"},
-                        {true, 1, "batch@1"},
-                        {true, 2, "batch@2"},
-                        {true, 8, "batch@8"}};
-        for (const auto &v : variants) {
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            const std::string label =
+                "explorer@" + std::to_string(threads);
             std::string got_stderr;
-            const auto got =
-                runEngine(model, mem, v.batched, v.threads,
-                          mappings, jobs, got_stderr);
+            const auto got = runExplorer(model, mem, threads, mappings,
+                                         jobs, got_stderr);
             ASSERT_NO_FATAL_FAILURE(
                 expectIdentical(ref, got, ref_stderr, got_stderr,
-                                v.label))
-                << "grid " << grid << " " << v.label;
+                                label.c_str()))
+                << "grid " << grid << " " << label;
             if (::testing::Test::HasFailure())
                 FAIL() << "first mismatch at grid " << grid;
         }
@@ -213,20 +208,6 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(total_skipped, 0u);
     EXPECT_GT(total_memory, 0u);
     EXPECT_GT(total_failed, 0u);
-}
-
-TEST(ExploreBatchTest, EnvironmentVariableSelectsEngineDefault)
-{
-    // The ctor default honours AMPED_SWEEP_ENGINE; the setter wins
-    // afterwards.  (The env var is read at construction, so this
-    // only checks the programmatic contract — the env path is
-    // covered by the scalar-engine CI run.)
-    Explorer explorer(tinyModel());
-    const bool initial = explorer.batchMode();
-    explorer.setBatchMode(!initial);
-    EXPECT_EQ(explorer.batchMode(), !initial);
-    explorer.setBatchMode(initial);
-    EXPECT_EQ(explorer.batchMode(), initial);
 }
 
 TEST(ExploreBatchTest, NanPinnedResultIsAllNaN)

@@ -1,7 +1,7 @@
 /**
  * @file
  * End-to-end cancellation tests for the long-running evaluation
- * surfaces: Explorer sweeps (both engines), the branch-and-bound
+ * surfaces: Explorer sweeps, the branch-and-bound
  * optimizer, the resilience Monte-Carlo, and the simulator schedule
  * entry checkpoints.  The load-bearing property throughout is the
  * determinism contract of common/cancel.hpp: a stopped run's partial
@@ -21,9 +21,9 @@
 #include "common/cancel.hpp"
 #include "common/thread_pool.hpp"
 #include "core/resilience.hpp"
-#include "explore/batch.hpp"
 #include "explore/explorer.hpp"
 #include "explore/optimizer.hpp"
+#include "explore/sweep_kernel.hpp"
 #include "hw/presets.hpp"
 #include "mapping/parallelism.hpp"
 #include "model/presets.hpp"
@@ -94,8 +94,7 @@ expectEntryPrefixEqual(const std::vector<explore::SweepEntry> &full,
 /**
  * A sweep tripped at the second block checkpoint stops with exactly
  * one SoA block visited, and its entries/counters are bit-identical
- * to the same prefix of the full run — on both engines, at thread
- * counts 1, 2, and 8.
+ * to the same prefix of the full run, at thread counts 1, 2, and 8.
  */
 TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
 {
@@ -112,42 +111,35 @@ TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
 
     explore::Explorer full_explorer(cancelModel());
     full_explorer.setThreads(4);
-    full_explorer.setBatchMode(true);
     const explore::SweepResult full =
         full_explorer.sweep(mappings, batches, cancelJob());
     ASSERT_EQ(full.status, RunStatus::Completed);
     ASSERT_EQ(full.visitedPoints, total);
     ASSERT_EQ(full.cancelledUnvisited, 0u);
 
-    for (const bool batched : {true, false}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            SCOPED_TRACE(std::string(batched ? "batched" : "scalar") +
-                         " engine, threads=" +
-                         std::to_string(threads));
-            const CancelToken token = CancelToken::make();
-            token.tripAfterCheckpoints(2);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const CancelToken token = CancelToken::make();
+        token.tripAfterCheckpoints(2);
 
-            explore::Explorer explorer(cancelModel());
-            explorer.setThreads(threads);
-            explorer.setBatchMode(batched);
-            explorer.setCancelToken(token);
-            const explore::SweepResult part =
-                explorer.sweep(mappings, batches, cancelJob());
+        explore::Explorer explorer(cancelModel());
+        explorer.setThreads(threads);
+        explorer.setCancelToken(token);
+        const explore::SweepResult part =
+            explorer.sweep(mappings, batches, cancelJob());
 
-            EXPECT_EQ(part.status, RunStatus::Cancelled);
-            // The first block checkpoint passed, the second tripped:
-            // exactly one block of points was visited.
-            EXPECT_EQ(part.visitedPoints, explore::kSweepBlockPoints);
-            EXPECT_EQ(part.visitedPoints + part.cancelledUnvisited,
-                      total);
-            // Every visited point landed in exactly one bucket.
-            EXPECT_EQ(part.entries.size() + part.skipped +
-                          part.memorySkipped,
-                      part.visitedPoints);
-            EXPECT_EQ(part.failed, 0u);
-            expectEntryPrefixEqual(full.entries, part.entries,
-                                   part.entries.size());
-        }
+        EXPECT_EQ(part.status, RunStatus::Cancelled);
+        // The first block checkpoint passed, the second tripped:
+        // exactly one block of points was visited.
+        EXPECT_EQ(part.visitedPoints, explore::kSweepBlockPoints);
+        EXPECT_EQ(part.visitedPoints + part.cancelledUnvisited, total);
+        // Every visited point landed in exactly one bucket.
+        EXPECT_EQ(part.entries.size() + part.skipped +
+                      part.memorySkipped,
+                  part.visitedPoints);
+        EXPECT_EQ(part.failed, 0u);
+        expectEntryPrefixEqual(full.entries, part.entries,
+                               part.entries.size());
     }
 }
 
@@ -164,37 +156,31 @@ TEST(ExplorerCancelTest, DeadlineStopRecordsOneLatencyObservation)
         mapping::MappingSpace(cancelSystem()).enumerate(0);
     const std::vector<double> batches{256.0, 512.0, 1024.0};
 
-    for (const bool batched : {true, false}) {
-        SCOPED_TRACE(batched ? "batched" : "scalar");
-        ManualClock clock(0.0);
-        obs::MetricsRegistry registry;
-        const CancelToken token =
-            CancelToken::make(Deadline::after(1.0, clock), &registry);
-        clock.set(1.25); // Expired 0.25 s ago by the injected clock.
+    ManualClock clock(0.0);
+    obs::MetricsRegistry registry;
+    const CancelToken token =
+        CancelToken::make(Deadline::after(1.0, clock), &registry);
+    clock.set(1.25); // Expired 0.25 s ago by the injected clock.
 
-        explore::Explorer explorer(cancelModel());
-        explorer.setThreads(2);
-        explorer.setBatchMode(batched);
-        explorer.setCancelToken(token);
-        const explore::SweepResult part =
-            explorer.sweep(mappings, batches, cancelJob());
+    explore::Explorer explorer(cancelModel());
+    explorer.setThreads(2);
+    explorer.setCancelToken(token);
+    const explore::SweepResult part =
+        explorer.sweep(mappings, batches, cancelJob());
 
-        EXPECT_EQ(part.status, RunStatus::DeadlineExceeded);
-        EXPECT_EQ(part.visitedPoints, 0u);
-        EXPECT_EQ(part.cancelledUnvisited,
-                  mappings.size() * batches.size());
-        EXPECT_TRUE(part.entries.empty());
+    EXPECT_EQ(part.status, RunStatus::DeadlineExceeded);
+    EXPECT_EQ(part.visitedPoints, 0u);
+    EXPECT_EQ(part.cancelledUnvisited, mappings.size() * batches.size());
+    EXPECT_TRUE(part.entries.empty());
 
-        // Exactly one checkpoint observed the stop, 0.25 s after
-        // expiry — the histogram is the proof that the run stopped
-        // within one block checkpoint of the deadline.
-        auto &latency = registry.histogram(
-            "common.cancel.latency_seconds", /*timing=*/true);
-        EXPECT_EQ(latency.count(), 1u);
-        EXPECT_DOUBLE_EQ(latency.sum(), 0.25);
-        EXPECT_EQ(registry.counter("common.cancel.observed").value(),
-                  1u);
-    }
+    // Exactly one checkpoint observed the stop, 0.25 s after expiry —
+    // the histogram is the proof that the run stopped within one
+    // block checkpoint of the deadline.
+    auto &latency = registry.histogram("common.cancel.latency_seconds",
+                                       /*timing=*/true);
+    EXPECT_EQ(latency.count(), 1u);
+    EXPECT_DOUBLE_EQ(latency.sum(), 0.25);
+    EXPECT_EQ(registry.counter("common.cancel.observed").value(), 1u);
 }
 
 /**

@@ -5,7 +5,8 @@
  *
  *  1. Exhaustive equivalence.  The optimizer's top-k must be
  *     *bit-pattern*-identical to brute force — run the full grid
- *     through Explorer::sweepJobs, sort by (total time, grid order),
+ *     through a per-point AmpedModel::evaluate loop
+ *     (reference_sweep.hpp), sort by (total time, grid order),
  *     truncate — over ~200 randomized grids mixing feasible /
  *     infeasible / over-memory / NaN-poisoned points, at thread
  *     counts 1, 2 and 8.  Counters must be thread-count-invariant
@@ -40,6 +41,7 @@
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "net/system_config.hpp"
+#include "reference_sweep.hpp"
 #include "sim/training_sim.hpp"
 #include "validate/calibrations.hpp"
 
@@ -83,10 +85,12 @@ using testutil::bits;
 using testutil::entryBits;
 
 /**
- * Brute-force reference ranking: evaluate the whole grid with the
- * exhaustive engine, sort ascending by total time (NaN last, ties in
- * grid order — Explorer::sortByTime is stable over grid-ordered
- * entries) and truncate to k.
+ * Brute-force reference ranking: evaluate the whole grid point by
+ * point with AmpedModel::evaluate (reference_sweep.hpp, which shares
+ * no code with the kernel the optimizer searches with), sort
+ * ascending by total time (NaN last, ties in grid order —
+ * Explorer::sortByTime is stable over grid-ordered entries) and
+ * truncate to k.
  */
 std::vector<SweepEntry>
 bruteForceTopK(const core::AmpedModel &model,
@@ -95,13 +99,14 @@ bruteForceTopK(const core::AmpedModel &model,
                const std::vector<double> &batch_sizes,
                const core::TrainingJob &job_template, std::size_t k)
 {
-    Explorer explorer(model);
-    explorer.setBatchMode(true);
-    explorer.setThreads(1);
-    if (screen != nullptr)
-        explorer.setMemoryModel(*screen);
+    std::vector<core::TrainingJob> jobs;
+    for (const double batch : batch_sizes) {
+        core::TrainingJob job = job_template;
+        job.batchSize = batch;
+        jobs.push_back(job);
+    }
     testing::internal::CaptureStderr();
-    auto result = explorer.sweep(mappings, batch_sizes, job_template);
+    auto result = testutil::referenceSweep(model, screen, mappings, jobs);
     testing::internal::GetCapturedStderr();
     Explorer::sortByTime(result.entries);
     if (result.entries.size() > k)

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 #include "testing/diff.hpp"
 #include "testing/golden.hpp"
 
@@ -24,25 +25,25 @@ TEST(FormatCanonical, RoundTripsExactly)
     for (double value :
          {0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 1e300, 5e-324,
           60.934108107960846, 3.6e2}) {
-        const std::string text = formatCanonical(value);
+        const std::string text = obs::formatDouble(value);
         EXPECT_EQ(std::strtod(text.c_str(), nullptr), value) << text;
     }
 }
 
 TEST(FormatCanonical, PrefersShortForms)
 {
-    EXPECT_EQ(formatCanonical(0.0), "0");
-    EXPECT_EQ(formatCanonical(1.0), "1");
-    EXPECT_EQ(formatCanonical(0.5), "0.5");
+    EXPECT_EQ(obs::formatDouble(0.0), "0");
+    EXPECT_EQ(obs::formatDouble(1.0), "1");
+    EXPECT_EQ(obs::formatDouble(0.5), "0.5");
 }
 
 TEST(FormatCanonical, SpecialValues)
 {
-    EXPECT_EQ(formatCanonical(std::nan("")), "nan");
-    EXPECT_EQ(formatCanonical(
+    EXPECT_EQ(obs::formatDouble(std::nan("")), "nan");
+    EXPECT_EQ(obs::formatDouble(
                   std::numeric_limits<double>::infinity()),
               "inf");
-    EXPECT_EQ(formatCanonical(
+    EXPECT_EQ(obs::formatDouble(
                   -std::numeric_limits<double>::infinity()),
               "-inf");
 }

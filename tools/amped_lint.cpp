@@ -26,12 +26,11 @@
  *    own guarded fallback is the single allowlisted use.
  *
  *  - no-nondeterminism: no `std::rand` / `srand` / `time(` /
- *    `std::random_device` / `std::getenv` outside the two documented
- *    environment seams (AMPED_THREADS in common/thread_pool.cpp,
- *    AMPED_SWEEP_ENGINE in explore/explorer.cpp).  Seeded Rng
- *    streams and the Clock abstraction are the sanctioned sources of
- *    randomness and time; ambient process state is how "byte-
- *    identical at any thread count" quietly stops being true.
+ *    `std::random_device` / `std::getenv` outside the one documented
+ *    environment seam (AMPED_THREADS in common/thread_pool.cpp).
+ *    Seeded Rng streams and the Clock abstraction are the sanctioned
+ *    sources of randomness and time; ambient process state is how
+ *    "byte-identical at any thread count" quietly stops being true.
  *
  *  - no-unordered-iteration-in-output: no range-for over an
  *    `unordered_map` / `unordered_set` in serialization, golden,
@@ -358,8 +357,8 @@ scanNoNondeterminism(const SourceFile &file, const Allowlist &allow,
              "'" + ident +
                  "' injects ambient process state; use a seeded "
                  "common/rng.hpp stream or the Clock abstraction "
-                 "(env reads live only behind the two documented "
-                 "seams — see the allowlist)"});
+                 "(env reads live only behind the one documented "
+                 "seam — see the allowlist)"});
     };
     for (std::size_t n = 0; n < file.code.size(); ++n) {
         const std::string &code = file.code[n];

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Smoke-tests cooperative cancellation of the CLI end to end, on a
-# deliberately large optimize grid (~500k points, a second or two of
-# wall clock):
+# Smoke-tests cooperative cancellation of the CLI end to end, on
+# deliberately large optimize grids.  Answers are kept to --top 10, so
+# each run is search, not output: the signal lands while the search
+# is in flight, where cancellation acts, rather than while a large
+# answer is being written.
 #
 #   sigint:   a SIGINT landing mid-search must exit 130 and still
 #             flush a well-formed CSV of the deterministic
@@ -21,13 +23,15 @@ WORK=$2
 MODE=$3
 mkdir -p "$WORK"
 
-BATCHES=$(python3 -c "print(','.join(str(256 + 8 * i) for i in range(2000)))")
+# 265 mappings x 8,000 batch sizes = 2.12M points, over half a second
+# of search on a 4-core host.
+BATCHES=$(python3 -c "print(','.join(str(256 + 8 * i) for i in range(8000)))")
 
 # One flat argument string (no embedded spaces), so the sigint branch
 # can background the binary itself — signalling a wrapper subshell
 # would leave the real process running.
 GRID_ARGS="optimize --model 145b --accel a100 --nodes 64 \
---per-node 8 --batches $BATCHES --top 100000 --csv"
+--per-node 8 --batches $BATCHES --top 10 --csv"
 
 # The CSV must parse and be rectangular even when the run was cut
 # short: a header row plus zero or more complete data rows.
@@ -47,9 +51,10 @@ EOF
 
 case "$MODE" in
 sigint)
-    # The signal must land while the search is in flight; on a fast
-    # machine the first delay may lose the race, so shrink and retry.
-    for delay in 0.3 0.15 0.05 0.02; do
+    # The signal must land while the search is in flight (a full run
+    # takes 0.26-0.43 s on a 4-core host); on a faster machine the
+    # first delay may lose the race, so shrink and retry.
+    for delay in 0.15 0.1 0.05 0.02; do
         # shellcheck disable=SC2086 # deliberate word splitting
         "$AMPED" $GRID_ARGS >"$WORK/out.csv" 2>"$WORK/err.txt" &
         pid=$!
@@ -92,13 +97,19 @@ deadline)
     exit 0
     ;;
 serve)
-    # The same deliberately large grid, phrased as one serve request.
-    REQUEST=$(python3 -c "
+    # The same grid, phrased as a stream of 40 optimize requests, so a
+    # request is in flight at every delay.  Each batch list is offset
+    # by one step per request, so no request is answered from the
+    # service cache.  Requests this large keep the stretch after a
+    # search's last checkpoint (rendering the answer, teardown; ~15 ms)
+    # a small share of each request.
+    REQUESTS=$(python3 -c "
 import json
-batches = [256 + 8 * i for i in range(2000)]
-print(json.dumps({'id': 1, 'method': 'optimize', 'params': {
-    'model': '145b', 'nodes': 64, 'per-node': 8,
-    'batches': batches, 'top': 100000}}))
+for k in range(40):
+    batches = [256 + 8 * (i + k) for i in range(8000)]
+    print(json.dumps({'id': k + 1, 'method': 'optimize', 'params': {
+        'model': '145b', 'nodes': 64, 'per-node': 8,
+        'batches': batches, 'top': 10}}))
 ")
     # The transcript must hold only well-formed JSON lines, and the
     # last one must be the in-flight request flushed as a partial
@@ -119,12 +130,14 @@ if last["run_status"] == "completed":
 assert last["run_status"] == "cancelled", f"unexpected: {last!r}"
 EOF
     }
-    # As above: the signal must land mid-request, so retry with
-    # shrinking delays when the run wins the race.  $! names the last
-    # pipeline component — the server binary itself, not the feeder
-    # subshell (which dies on its own within 5s).
-    for delay in 0.5 0.3 0.15 0.05; do
-        { printf '%s\n' "$REQUEST"; sleep 5; } |
+    # As above: the signal must land mid-request.  The first delay
+    # falls inside the first request; a later one can fall just after
+    # a request's last checkpoint, which misses, so retry at others.
+    # $! names the last pipeline component — the server binary
+    # itself, not the feeder subshell (which dies on its own within
+    # 5s).
+    for delay in 0.15 0.3 0.5 0.05; do
+        { printf '%s\n' "$REQUESTS"; sleep 5; } |
             "$AMPED" serve --stdio \
                 >"$WORK/out.jsonl" 2>"$WORK/err.txt" &
         pid=$!
