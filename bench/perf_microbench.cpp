@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -18,11 +19,14 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <vector>
 
 #include "case_study_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/amped_model.hpp"
+#include "core/memory_model.hpp"
 #include "explore/explorer.hpp"
+#include "explore/optimizer.hpp"
 #include "hw/presets.hpp"
 #include "mapping/parallelism.hpp"
 #include "model/presets.hpp"
@@ -341,9 +345,13 @@ parseCount(const char *flag, const char *text, T min, T &out)
  * Sweep-throughput bench mode (the record behind the CI perf gate,
  * tools/sweep_ab.py).  Times one un-memoized sweep of the
  * (mapping x batch) grid, after one untimed warm-up sweep of the same
- * grid, and writes a machine-readable JSON record
- * (BENCH_sweep.json: grid size, threads, sweep counters, and one
- * `runs` element with seconds / items_per_sec / bytes_per_sec).
+ * grid, then `amped optimize` on that grid: one untimed and five
+ * timed Optimizer::optimizeOver calls with the memory screen and
+ * top 3 of bench/optimizer_case_study.  It writes a machine-readable
+ * JSON record (BENCH_sweep.json, schema 3: grid size, threads, sweep
+ * counters, one `runs` element with seconds / items_per_sec /
+ * bytes_per_sec, and an `optimize` object with the median seconds
+ * and the evaluated / pruned-by-bound / pruned-by-memory counters).
  * Seconds are host-relative, so the gate compares two builds run
  * alternately on the same machine rather than a checked-in number.
  *
@@ -403,8 +411,7 @@ runSweepBenchMode(int argc, char **argv)
     (void)explorer.sweep(mappings, batches, job);
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
-    const explore::SweepResult sweep =
-        explorer.sweep(mappings, batches, job);
+    explore::SweepResult sweep = explorer.sweep(mappings, batches, job);
     const double seconds =
         std::chrono::duration<double>(clock::now() - t0).count();
 
@@ -428,8 +435,43 @@ runSweepBenchMode(int argc, char **argv)
     counters.set("skipped", sweep.skipped);
     counters.set("memory_skipped", sweep.memorySkipped);
     counters.set("failed", sweep.failed);
+    sweep = explore::SweepResult(); // Free the rows before optimizing.
+
+    explore::Optimizer optimizer(caseStudyModel());
+    optimizer.setThreads(threads);
+    optimizer.setMemoryModel(core::MemoryModel(
+        model::OpCounter(model::presets::megatron145B()),
+        hw::presets::a100()));
+    explore::OptimizerRequest request;
+    request.batchSizes = batches;
+    request.jobTemplate = job;
+    request.topK = 3;
+    (void)optimizer.optimizeOver(mappings, request);
+    constexpr std::size_t kTimedOptimizeCalls = 5;
+    std::vector<double> optimize_seconds;
+    explore::OptimizerCounters found;
+    for (std::size_t call = 0; call < kTimedOptimizeCalls; ++call) {
+        const auto start = clock::now();
+        found = optimizer.optimizeOver(mappings, request).counters;
+        optimize_seconds.push_back(
+            std::chrono::duration<double>(clock::now() - start)
+                .count());
+    }
+    std::sort(optimize_seconds.begin(), optimize_seconds.end());
+    const double optimize_median =
+        optimize_seconds[kTimedOptimizeCalls / 2];
+    obs::Json optimize_counters = obs::Json::object();
+    optimize_counters.set("evaluated", found.evaluated);
+    optimize_counters.set("pruned_by_bound", found.prunedByBound);
+    optimize_counters.set("pruned_by_memory", found.prunedByMemory);
+    obs::Json optimize = obs::Json::object();
+    optimize.set("top_k", request.topK);
+    optimize.set("timed_calls", kTimedOptimizeCalls);
+    optimize.set("seconds", optimize_median);
+    optimize.set("counters", std::move(optimize_counters));
+
     obs::Json root = obs::Json::object();
-    root.set("schema_version", 2);
+    root.set("schema_version", 3);
     root.set("kind", "amped.sweep_bench");
     root.set("grid", std::move(grid));
     root.set("threads", std::move(thread_info));
@@ -438,6 +480,7 @@ runSweepBenchMode(int argc, char **argv)
     obs::Json runs = obs::Json::array();
     runs.push(std::move(run));
     root.set("runs", std::move(runs));
+    root.set("optimize", std::move(optimize));
 
     std::ofstream out(out_path);
     if (!out) {
@@ -448,8 +491,11 @@ runSweepBenchMode(int argc, char **argv)
     }
     out << root.dump(2) << "\n";
     out.close();
-    std::fprintf(stderr, "sweep: %zu points in %.3f s (%.0f/s) -> %s\n",
+    std::fprintf(stderr,
+                 "sweep: %zu points in %.3f s (%.0f/s); optimize: "
+                 "median %.3f s of %zu, %zu evaluated -> %s\n",
                  points, seconds, static_cast<double>(points) / seconds,
+                 optimize_median, kTimedOptimizeCalls, found.evaluated,
                  out_path.c_str());
     return 0;
 }

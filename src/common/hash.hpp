@@ -2,9 +2,10 @@
  * @file
  * FNV-1a 64-bit hashing (header-only).
  *
- * Hashes the bit-pattern keys of core::SweepTermCache's term tables
- * (core/batch_terms.cpp).  FNV-1a is not cryptographic; the tables
- * compare full keys, so a collision only costs a probe.
+ * Hashes the (N_TP * N_PP, dpIntra, dpInter) keys of
+ * core::SweepTermCache's gradient table (core/batch_terms.cpp).
+ * FNV-1a is not cryptographic; the table compares full keys, so a
+ * collision only costs a probe.
  */
 
 #ifndef AMPED_COMMON_HASH_HPP

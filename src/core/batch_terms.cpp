@@ -1,6 +1,7 @@
 #include "batch_terms.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -28,15 +29,6 @@ doubleBits(double value)
 } // namespace
 
 std::size_t
-SweepTermCache::PairKeyHash::operator()(const PairKey &k) const
-{
-    Fnv1a hasher;
-    hasher.bytes(&k.a, sizeof(k.a));
-    hasher.bytes(&k.b, sizeof(k.b));
-    return static_cast<std::size_t>(hasher.digest());
-}
-
-std::size_t
 SweepTermCache::TripleKeyHash::operator()(const TripleKey &k) const
 {
     Fnv1a hasher;
@@ -52,9 +44,18 @@ SweepTermCache::SweepTermCache(const AmpedModel &model)
 {
     const auto &counter = model_.opCounter();
     const std::int64_t layers = counter.config().numLayers;
-    weights2_.reserve(static_cast<std::size_t>(layers));
-    for (std::int64_t l = 0; l < layers; ++l)
-        weights2_.push_back(2.0 * counter.weightsPerLayer(l));
+    // Layer classes in first-seen layer order, so class 0 is layer 0's.
+    layerClass_.reserve(static_cast<std::size_t>(layers));
+    int class_index[2] = {-1, -1}; // Indexed by isMoeLayer.
+    for (std::int64_t l = 0; l < layers; ++l) {
+        int &c = class_index[counter.config().isMoeLayer(l) ? 1 : 0];
+        if (c < 0) {
+            c = static_cast<int>(classLayer_.size());
+            classLayer_.push_back(l);
+            weights2_.push_back(2.0 * counter.weightsPerLayer(l));
+        }
+        layerClass_.push_back(static_cast<std::uint8_t>(c));
+    }
     moeActive_ = model_.options().enableMoeComm &&
                  counter.config().moe.numExperts > 0;
     if (!moeActive_) {
@@ -69,11 +70,6 @@ SweepTermCache::SweepTermCache(const AmpedModel &model)
 std::size_t
 SweepTermCache::registerForwardCompute(double batch, double eff)
 {
-    const PairKey key{doubleBits(batch), doubleBits(eff)};
-    const auto it = forwardIds_.find(key);
-    if (it != forwardIds_.end())
-        return it->second;
-
     const std::uint64_t batch_key = doubleBits(batch);
     std::size_t table = 0;
     const auto table_it = opsTableIds_.find(batch_key);
@@ -93,22 +89,16 @@ SweepTermCache::registerForwardCompute(double batch, double eff)
     entry.keyB = eff;
     forward_.push_back(std::move(entry));
     forwardOpsTable_.push_back(table);
-    forwardIds_.emplace(key, id);
     return id;
 }
 
 std::size_t
 SweepTermCache::registerWeightUpdate(double eff)
 {
-    const std::uint64_t key = doubleBits(eff);
-    const auto it = updateIds_.find(key);
-    if (it != updateIds_.end())
-        return it->second;
     const std::size_t id = update_.size();
     Entry entry;
     entry.keyA = eff;
     update_.push_back(std::move(entry));
-    updateIds_.emplace(key, id);
     return id;
 }
 
@@ -166,18 +156,16 @@ SweepTermCache::primeOpsTable(OpsTable &table) const
 {
     try {
         const auto &counter = model_.opCounter();
-        const std::int64_t layers = counter.config().numLayers;
         table.terms.clear();
-        table.layerEnd.clear();
-        table.layerEnd.reserve(static_cast<std::size_t>(layers));
-        for (std::int64_t l = 0; l < layers; ++l) {
+        table.classEnd.clear();
+        for (const std::int64_t l : classLayer_) {
             for (const auto &op : counter.layerOps(l, table.batch)) {
                 OpTerm term;
                 term.macs2 = 2.0 * op.macs;
                 term.nonlinear = op.nonlinear;
                 table.terms.push_back(term);
             }
-            table.layerEnd.push_back(
+            table.classEnd.push_back(
                 static_cast<std::uint32_t>(table.terms.size()));
         }
         table.outcome = Outcome::ok;
@@ -209,20 +197,20 @@ SweepTermCache::primeForwardCompute(Entry &entry) const
         const SecondsPerFlop c_mac =
             hw::cMac(model_.accelerator(), entry.keyB);
         const SecondsPerFlop c_non = rates_.cNonlin;
-        Seconds fwd_total{0.0};
+        std::array<Seconds, kMaxLayerClasses> layer_time{};
         std::size_t begin = 0;
-        for (const std::uint32_t end : table.layerEnd) {
+        for (std::size_t c = 0; c < table.classEnd.size(); ++c) {
             Seconds time{0.0};
-            for (std::size_t i = begin; i < end; ++i) {
+            for (std::size_t i = begin; i < table.classEnd[c]; ++i) {
                 time += Flops{table.terms[i].macs2} * c_mac *
                         rates_.macFactor;
                 time += Flops{table.terms[i].nonlinear} * c_non *
                         rates_.nonlinFactor;
             }
-            fwd_total += time;
-            begin = end;
+            layer_time[c] = time;
+            begin = table.classEnd[c];
         }
-        entry.value = fwd_total.value();
+        entry.value = sumOverLayers(layer_time).value();
         entry.outcome = Outcome::ok;
     } catch (const UserError &e) {
         entry.outcome = Outcome::userError;
@@ -240,10 +228,10 @@ SweepTermCache::primeWeightUpdate(Entry &entry) const
         // Mirrors core::layerWeightUpdateTime summed over layers.
         const SecondsPerFlop c_mac =
             hw::cMac(model_.accelerator(), entry.keyA);
-        Seconds update_total{0.0};
-        for (const double w2 : weights2_)
-            update_total += Flops{w2} * c_mac * rates_.macFactor;
-        entry.value = update_total.value();
+        std::array<Seconds, kMaxLayerClasses> layer_update{};
+        for (std::size_t c = 0; c < weights2_.size(); ++c)
+            layer_update[c] = Flops{weights2_[c]} * c_mac * rates_.macFactor;
+        entry.value = sumOverLayers(layer_update).value();
         entry.outcome = Outcome::ok;
     } catch (const UserError &e) {
         entry.outcome = Outcome::userError;
@@ -258,12 +246,10 @@ void
 SweepTermCache::primeMoeForward(Entry &entry) const
 {
     try {
-        const std::int64_t layers =
-            model_.opCounter().config().numLayers;
-        Seconds total{0.0};
-        for (std::int64_t l = 0; l < layers; ++l)
-            total += model_.moeCommTime(l, entry.keyA);
-        entry.value = total.value();
+        std::array<Seconds, kMaxLayerClasses> layer_moe{};
+        for (std::size_t c = 0; c < classLayer_.size(); ++c)
+            layer_moe[c] = model_.moeCommTime(classLayer_[c], entry.keyA);
+        entry.value = sumOverLayers(layer_moe).value();
         entry.outcome = Outcome::ok;
     } catch (const UserError &e) {
         entry.outcome = Outcome::userError;
@@ -281,21 +267,19 @@ SweepTermCache::primeGrad(Entry &entry) const
         static_cast<std::size_t>(&entry - grad_.data());
     const mapping::ParallelismConfig &mapping = gradMappings_[id];
     try {
-        const std::int64_t layers =
-            model_.opCounter().config().numLayers;
         // Mirrors the evaluate() gradient loop, accumulating raw
         // doubles exactly as Breakdown::commGrad* do.
-        double intra_sum = 0.0;
-        double inter_sum = 0.0;
-        for (std::int64_t l = 0; l < layers; ++l) {
+        std::array<double, kMaxLayerClasses> layer_intra{};
+        std::array<double, kMaxLayerClasses> layer_inter{};
+        for (std::size_t c = 0; c < classLayer_.size(); ++c) {
             Seconds intra{0.0};
             Seconds inter{0.0};
-            model_.gradCommTime(mapping, l, intra, inter);
-            intra_sum += intra.value();
-            inter_sum += inter.value();
+            model_.gradCommTime(mapping, classLayer_[c], intra, inter);
+            layer_intra[c] = intra.value();
+            layer_inter[c] = inter.value();
         }
-        entry.value = intra_sum;
-        entry.value2 = inter_sum;
+        entry.value = sumOverLayers(layer_intra);
+        entry.value2 = sumOverLayers(layer_inter);
         entry.outcome = Outcome::ok;
     } catch (const UserError &e) {
         entry.outcome = Outcome::userError;

@@ -16,9 +16,21 @@
  *   - gradient comm:     (N_TP * N_PP, dpIntra, dpInter)
  *   - model FLOPs:       global batch
  *
- * SweepTermCache deduplicates those inputs, computes each distinct
- * sum once (in parallel), and serves the results to the sweep kernel
- * (explore/sweep_kernel.cpp) as O(1) array lookups.
+ * SweepTermCache computes each registered sum once (in parallel) and
+ * serves the results to the sweep kernel (explore/sweep_kernel.cpp)
+ * as O(1) array lookups.  The MoE, gradient and FLOP keys are
+ * deduplicated here; forward-compute and weight-update entries are
+ * registered positionally, one per call, because the kernel already
+ * registers each (job, efficiency) pair once.
+ *
+ * Every per-layer term depends on the layer index only through
+ * TransformerConfig::isMoeLayer, so the cache sorts the layers into
+ * classes (dense, MoE) in first-seen order, computes one per-layer
+ * value per class, and replays the scalar path's += over the layers
+ * in layer order.  The same values are added in the same order, so
+ * the sums carry the same bits; classes are evaluated in first-seen
+ * layer order, so a term that throws does so at the same first layer
+ * with the same message.
  *
  * Bit-exactness contract: every cached value is produced by the same
  * floating-point operations, in the same order, on the same inputs as
@@ -47,6 +59,7 @@
 #ifndef AMPED_CORE_BATCH_TERMS_HPP
 #define AMPED_CORE_BATCH_TERMS_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -81,23 +94,33 @@ class SweepTermCache
     explicit SweepTermCache(const AmpedModel &model);
 
     // -----------------------------------------------------------------
-    // Registration: dedup by value, return a stable entry id.
-    // Single-threaded; ids are valid after the next prime() call.
+    // Registration: return a stable entry id.  Single-threaded; ids
+    // are valid after the next prime() call.
     // -----------------------------------------------------------------
 
-    /** Sum over layers of U_f(l, batch, eff) (Eq. 2). */
+    /**
+     * Sum over layers of U_f(l, batch, eff) (Eq. 2).  Every call adds
+     * an entry (callers deduplicate); entries of one batch share that
+     * batch's op table.
+     */
     std::size_t registerForwardCompute(double batch, double eff);
 
-    /** Sum over layers of U_w(l, eff) (Eq. 12). */
+    /** Sum over layers of U_w(l, eff) (Eq. 12); one entry per call. */
     std::size_t registerWeightUpdate(double eff);
 
-    /** Sum over layers of M_f,MoE(l, replica_batch) (Eq. 9). */
+    /**
+     * Sum over layers of M_f,MoE(l, replica_batch) (Eq. 9), deduplicated
+     * by value.
+     */
     std::size_t registerMoeForward(double replica_batch);
 
-    /** Sums over layers of the gradient all-reduce (Eq. 10-11). */
+    /**
+     * Sums over layers of the gradient all-reduce (Eq. 10-11),
+     * deduplicated by (N_TP * N_PP, dpIntra, dpInter).
+     */
     std::size_t registerGrad(const mapping::ParallelismConfig &mapping);
 
-    /** OpCounter::modelFlopsPerBatch(batch). */
+    /** OpCounter::modelFlopsPerBatch(batch), deduplicated by value. */
     std::size_t registerModelFlops(double batch);
 
     /**
@@ -200,20 +223,6 @@ class SweepTermCache
         std::string message;
     };
 
-    /** Exact-match dedup key over two doubles (bit patterns). */
-    struct PairKey
-    {
-        std::uint64_t a = 0, b = 0;
-        bool operator==(const PairKey &o) const
-        {
-            return a == o.a && b == o.b;
-        }
-    };
-    struct PairKeyHash
-    {
-        std::size_t operator()(const PairKey &k) const;
-    };
-
     /** Exact-match dedup key over three integers. */
     struct TripleKey
     {
@@ -235,15 +244,34 @@ class SweepTermCache
         double nonlinear = 0.0; ///< SublayerOps::nonlinear.
     };
 
-    /** Per-batch table of every layer's forward-op constants. */
+    /**
+     * Per-batch forward-op constants, one layer's worth per layer
+     * class (every layer of a class has the same ops).
+     */
     struct OpsTable
     {
         double batch = 0.0;
-        std::vector<OpTerm> terms;        ///< All layers, flattened.
-        std::vector<std::uint32_t> layerEnd; ///< End index per layer.
+        std::vector<OpTerm> terms; ///< Every class's ops, flattened.
+        std::vector<std::uint32_t> classEnd; ///< End index per class.
         Outcome outcome = Outcome::pending;
         std::string message;
     };
+
+    /** At most two layer classes: dense and MoE. */
+    static constexpr std::size_t kMaxLayerClasses = 2;
+
+    /**
+     * Adds one per-class value per layer, in layer order: the scalar
+     * path's per-layer += with the layer's value looked up by class.
+     */
+    template <typename T>
+    T sumOverLayers(const std::array<T, kMaxLayerClasses> &per_class) const
+    {
+        T total{0.0};
+        for (const std::uint8_t c : layerClass_)
+            total += per_class[c];
+        return total;
+    }
 
     void primeOpsTable(OpsTable &table) const;
     void primeForwardCompute(Entry &entry) const;
@@ -259,12 +287,12 @@ class SweepTermCache
     hw::ComputeRateSnapshot rates_;
     net::SystemSnapshot system_;
 
-    // Per-layer constants captured once at construction.
-    std::vector<double> weights2_;   ///< 2.0 * weightsPerLayer(l).
+    // Layer classes, captured once at construction.
+    std::vector<std::uint8_t> layerClass_; ///< Layer -> class index.
+    std::vector<std::int64_t> classLayer_; ///< Class -> first layer.
+    std::vector<double> weights2_; ///< 2.0 * weightsPerLayer, per class.
     bool moeActive_ = false; ///< enableMoeComm and >= 1 MoE layer.
 
-    std::unordered_map<PairKey, std::size_t, PairKeyHash> forwardIds_;
-    std::unordered_map<std::uint64_t, std::size_t> updateIds_;
     std::unordered_map<std::uint64_t, std::size_t> moeIds_;
     std::unordered_map<TripleKey, std::size_t, TripleKeyHash> gradIds_;
     std::unordered_map<std::uint64_t, std::size_t> flopsIds_;

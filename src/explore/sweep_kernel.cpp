@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -41,6 +42,34 @@ constexpr std::size_t kPointChunk = 256;
 
 /** Jobs per work-queue grab while filling the (job x class) table. */
 constexpr std::size_t kJobChunk = 16;
+
+/** One distinct term key of a job and the cache ids it registered. */
+struct KeySlot
+{
+    double key = 0.0;
+    std::size_t id = 0;  ///< Forward id (efficiency) or MoE id.
+    std::size_t id2 = 0; ///< Weight-update id (efficiency only).
+};
+
+/** Index of @p key's slot in @p slots (bitwise match), added if new. */
+std::size_t
+slotOf(std::vector<KeySlot> &slots, double key)
+{
+    for (std::size_t s = 0; s < slots.size(); ++s)
+        if (std::memcmp(&slots[s].key, &key, sizeof key) == 0)
+            return s;
+    slots.push_back(KeySlot{key});
+    return slots.size() - 1;
+}
+
+/** What one job's rows need registered, collected by its fill. */
+struct JobKeys
+{
+    std::vector<KeySlot> effs;     ///< Distinct efficiencies.
+    std::vector<KeySlot> replicas; ///< Distinct per-replica batches.
+    std::vector<std::string> messages; ///< kError what()s.
+    std::uint32_t messageBase = 0; ///< Index of messages[0] in the table.
+};
 
 } // namespace
 
@@ -246,67 +275,107 @@ SweepKernel::SweepKernel(
     // ---- (job x class) microbatching table, filled in parallel. ----
     // Every row is independent of every other, so workers fill whole
     // jobs; each job's rows are one per class, a stride of num_jobs
-    // apart in storage.
+    // apart in storage.  Each job collects its distinct keys and its
+    // failure messages in class order; until the ids are written
+    // below, a row's fwdId and moeId hold its slots in those lists
+    // and its messageId indexes the job's own messages.
     const std::size_t workers =
         max_workers > 0 ? max_workers : ThreadPool::defaultThreadCount();
     jc_.resize(num_jobs * num_classes);
+    std::vector<JobKeys> job_keys(num_jobs);
     ThreadPool::shared().parallelFor(
         num_jobs, /*chunk=*/kJobChunk,
         [&](std::size_t j) {
             const auto &job = jobs_[j];
+            JobKeys &keys = job_keys[j];
+            // Keeps a kError row's what() in the job's message list.
+            const auto error = [&keys](JcEntry &entry,
+                                       const std::exception &e) {
+                entry.messageId =
+                    static_cast<std::uint32_t>(keys.messages.size());
+                keys.messages.emplace_back(e.what());
+                return kError;
+            };
             for (std::size_t c = 0; c < num_classes; ++c) {
                 const auto &rep = mappings_[class_representative[c]];
                 JcEntry &entry = jc_[c * num_jobs + j];
                 try {
                     entry.ub = job.microbatching.microbatchSize(
                         job.batchSize, rep);
-                } catch (const UserError &e) {
+                } catch (const UserError &) {
                     entry.ubKind = kUserError;
-                    entry.ubMessage = e.what();
                 } catch (const std::exception &e) {
-                    entry.ubKind = kError;
-                    entry.ubMessage = e.what();
+                    entry.ubKind = error(entry, e);
                 }
                 if (entry.ubKind != kOk)
                     continue;
                 try {
                     entry.nub = job.microbatching.numMicrobatches(
                         job.batchSize, rep);
-                } catch (const UserError &e) {
+                    entry.eff = model_.efficiency()(entry.ub);
+                } catch (const UserError &) {
                     entry.preKind = kUserError;
-                    entry.preMessage = e.what();
                 } catch (const std::exception &e) {
-                    entry.preKind = kError;
-                    entry.preMessage = e.what();
-                }
-                if (entry.preKind == kOk) {
-                    try {
-                        entry.eff = model_.efficiency()(entry.ub);
-                    } catch (const UserError &e) {
-                        entry.preKind = kUserError;
-                        entry.preMessage = e.what();
-                    } catch (const std::exception &e) {
-                        entry.preKind = kError;
-                        entry.preMessage = e.what();
-                    }
+                    entry.preKind = error(entry, e);
                 }
                 entry.replicaBatch =
                     job.batchSize / static_cast<double>(rep.dp());
+                if (entry.preKind != kOk)
+                    continue;
+                entry.fwdId = slotOf(keys.effs, entry.eff);
+                entry.moeId = slotOf(keys.replicas, entry.replicaBatch);
             }
         },
         workers);
 
-    // ---- Term registration: serial, in storage (row) order. --------
-    // One sequential pass keeps the term ids deterministic.
-    for (std::size_t row = 0; row < jc_.size(); ++row) {
-        JcEntry &entry = jc_[row];
-        if (entry.ubKind != kOk || entry.preKind != kOk)
-            continue;
-        entry.fwdId = cache_.registerForwardCompute(
-            jobs_[row % num_jobs].batchSize, entry.eff);
-        entry.updId = cache_.registerWeightUpdate(entry.eff);
-        entry.moeId = cache_.registerMoeForward(entry.replicaBatch);
+    // ---- Term registration: serial, slot-major and job-minor. ------
+    // Only the grid decides these ids, so they are the same at any
+    // worker count; the order keeps a class's ids along the job axis.
+    std::size_t eff_slots = 0;
+    std::size_t replica_slots = 0;
+    for (JobKeys &keys : job_keys) {
+        eff_slots = std::max(eff_slots, keys.effs.size());
+        replica_slots = std::max(replica_slots, keys.replicas.size());
+        keys.messageBase = static_cast<std::uint32_t>(messages_.size());
+        for (std::string &message : keys.messages)
+            messages_.push_back(std::move(message));
     }
+    for (std::size_t s = 0; s < eff_slots; ++s) {
+        for (std::size_t j = 0; j < num_jobs; ++j) {
+            std::vector<KeySlot> &effs = job_keys[j].effs;
+            if (s >= effs.size())
+                continue;
+            effs[s].id = cache_.registerForwardCompute(
+                jobs_[j].batchSize, effs[s].key);
+            effs[s].id2 = cache_.registerWeightUpdate(effs[s].key);
+        }
+    }
+    for (std::size_t s = 0; s < replica_slots; ++s) {
+        for (std::size_t j = 0; j < num_jobs; ++j) {
+            std::vector<KeySlot> &replicas = job_keys[j].replicas;
+            if (s < replicas.size())
+                replicas[s].id = cache_.registerMoeForward(replicas[s].key);
+        }
+    }
+
+    // ---- Term ids and message indices into the rows, in parallel. --
+    ThreadPool::shared().parallelFor(
+        num_jobs, /*chunk=*/kJobChunk,
+        [&](std::size_t j) {
+            const JobKeys &keys = job_keys[j];
+            for (std::size_t c = 0; c < num_classes; ++c) {
+                JcEntry &entry = jc_[c * num_jobs + j];
+                if (entry.ubKind == kError || entry.preKind == kError) {
+                    entry.messageId += keys.messageBase;
+                } else if (entry.ubKind == kOk && entry.preKind == kOk) {
+                    const KeySlot &eff = keys.effs[entry.fwdId];
+                    entry.fwdId = eff.id;
+                    entry.updId = eff.id2;
+                    entry.moeId = keys.replicas[entry.moeId].id;
+                }
+            }
+        },
+        workers);
 
     primeStatus_ = cache_.prime(max_workers, token_);
 }
@@ -335,7 +404,7 @@ SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
         if (entry.ubKind == kUserError)
             return; // infeasible (the default status)
         if (entry.ubKind == kError)
-            return fail(entry.ubMessage);
+            return fail(messages_[entry.messageId]);
         try {
             if (!memoryModel_->fits(mappings_[index / num_jobs],
                                     ji.batch, entry.ub)) {
@@ -360,12 +429,12 @@ SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
         if (entry.ubKind == kUserError)
             return;
         if (entry.ubKind == kError)
-            return fail(entry.ubMessage);
+            return fail(messages_[entry.messageId]);
     }
     if (entry.preKind == kUserError)
         return;
     if (entry.preKind == kError)
-        return fail(entry.preMessage);
+        return fail(messages_[entry.messageId]);
 
     try {
         // Mirrors evaluate()'s assembly expression by expression;

@@ -18,10 +18,14 @@
  *     every compute term of the additive model is constant and only
  *     the communication terms vary with the intra/inter split.  The
  *     table's rows are independent, so they are filled in parallel
- *     over jobs; their term keys are then registered in one serial
- *     pass in row order.
- *  2. Register every distinct per-layer sum with a
- *     core::SweepTermCache and prime it once, in parallel.
+ *     over jobs.  A job's forward and weight-update keys vary with
+ *     the class only through the efficiency, and its MoE key only
+ *     through the per-replica batch, so each job collects its
+ *     distinct values of both while it fills its rows.
+ *  2. Register each job's distinct keys with a core::SweepTermCache
+ *     in one serial pass, slot-major and job-minor (see the class
+ *     comment), write the term ids into the rows in parallel, and
+ *     prime the cache once, in parallel.
  *  3. Evaluate points in fixed-size blocks of contiguous raw-double
  *     columns (structure of arrays): each worker fills the output
  *     columns for a chunk of points with O(1) work per point —
@@ -131,22 +135,25 @@ struct JobInfo
  * Per-(job x (dp, pp)-class) microbatching facts.  The microbatch
  * size, microbatch count and per-replica batch depend on the mapping
  * only through dp() and pp(), so one row serves every mapping in the
- * class.
+ * class.  A row carries no text: a kError failure's what() lives in
+ * the kernel's message table, at index messageId.
  */
 struct JcEntry
 {
     FailKind ubKind = kOk; ///< microbatchSize outcome.
-    std::string ubMessage;
     /**
      * First failure of the remaining pre-term steps, recorded in
      * the scalar path's order: numMicrobatches, then efficiency.
+     * Set only when ubKind is kOk.
      */
     FailKind preKind = kOk;
-    std::string preMessage;
+    /** Message-table index of the row's kError failure, if any. */
+    std::uint32_t messageId = 0;
     double ub = 0.0;
     double nub = 0.0;
     double eff = 0.0;
     double replicaBatch = 0.0;
+    /** Term-cache ids, set when both kinds are kOk. */
     std::size_t fwdId = 0;
     std::size_t updId = 0;
     std::size_t moeId = 0;
@@ -158,9 +165,16 @@ struct BlockColumns;
 /**
  * One grid's evaluation state: constant tables, primed term cache
  * and the exact per-point evaluator.  Construction fills the
- * (job x class) table in parallel on the shared pool, then registers
- * its term keys serially in row (storage) order, so term ids are
- * deterministic, and primes the cache in parallel; afterwards every
+ * (job x class) table in parallel on the shared pool; each job
+ * collects its distinct (efficiency, per-replica batch) keys in class
+ * order, and its failure messages.  One serial pass then registers
+ * the keys slot-major, job-minor: the first distinct key of every
+ * job, then the second of every job, and so on.  That keeps a class's
+ * term ids running along the job axis, the axis the block loop walks
+ * fastest, so consecutive points read neighbouring cache entries
+ * (DESIGN.md "The sweep kernel" has the measurement).  The ids
+ * depend on nothing but the grid, so they are the same at any worker
+ * count.  The cache is then primed in parallel; afterwards every
  * member function is const and thread-safe.
  *
  * The mapping and job vectors are held by reference and must outlive
@@ -311,6 +325,7 @@ class SweepKernel
     std::vector<MappingInfo> mappingInfos_;
     std::vector<JobInfo> jobInfos_;
     std::vector<JcEntry> jc_;
+    std::vector<std::string> messages_; ///< JcEntry::messageId -> what().
     std::vector<std::vector<std::size_t>> classMembers_;
 };
 

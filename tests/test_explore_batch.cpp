@@ -17,11 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -118,6 +120,91 @@ expectIdentical(const SweepResult &ref, const SweepResult &got,
     }
 }
 
+/**
+ * Draws one random grid: 1-8 mappings of @p all_mappings and 1-6 jobs
+ * mixing batch sizes, NaN poisons, batch-count and microbatching
+ * overrides.
+ */
+void
+drawGrid(std::mt19937 &rng,
+         const std::vector<mapping::ParallelismConfig> &all_mappings,
+         std::vector<mapping::ParallelismConfig> &mappings,
+         std::vector<core::TrainingJob> &jobs)
+{
+    std::uniform_int_distribution<std::size_t> pick(
+        0, all_mappings.size() - 1);
+    std::uniform_int_distribution<int> mapping_count(1, 8);
+    const int m = mapping_count(rng);
+    for (int i = 0; i < m; ++i)
+        mappings.push_back(all_mappings[pick(rng)]);
+
+    std::uniform_int_distribution<int> job_count(1, 6);
+    std::uniform_int_distribution<int> batch_pick(0, 7);
+    std::uniform_int_distribution<int> odds(0, 9);
+    static const double kBatches[] = {1.0,   2.0,    7.0,
+                                      16.0,  64.0,   63.0,
+                                      256.0, 4096.0};
+    const int j = job_count(rng);
+    for (int i = 0; i < j; ++i) {
+        core::TrainingJob job;
+        job.batchSize = kBatches[batch_pick(rng)];
+        job.totalTrainingTokens = 1e9;
+        const int roll = odds(rng);
+        if (roll == 0) // Poison: NaN-pins the whole row.
+            job.numBatchesOverride =
+                std::numeric_limits<double>::infinity();
+        else if (roll < 3)
+            job.numBatchesOverride = 5.0;
+        if (roll == 4) // Often infeasible for large mappings.
+            job.microbatching.microbatchSizeOverride = 2.0;
+        else if (roll == 5)
+            job.microbatching.numMicrobatchesOverride = 4.0;
+        jobs.push_back(job);
+    }
+}
+
+/**
+ * Sweeps one grid with the reference loop and with the Explorer at
+ * 1, 2 and 8 threads, asserting byte-identity; returns the reference.
+ */
+SweepResult
+expectGridMatchesReference(
+    const core::AmpedModel &model, const core::MemoryModel *mem,
+    const std::vector<mapping::ParallelismConfig> &mappings,
+    const std::vector<core::TrainingJob> &jobs)
+{
+    testing::internal::CaptureStderr();
+    auto ref = testutil::referenceSweep(model, mem, mappings, jobs);
+    const std::string ref_stderr =
+        testing::internal::GetCapturedStderr();
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string label = "explorer@" + std::to_string(threads);
+        std::string got_stderr;
+        const auto got =
+            runExplorer(model, mem, threads, mappings, jobs, got_stderr);
+        expectIdentical(ref, got, ref_stderr, got_stderr, label.c_str());
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    return ref;
+}
+
+/**
+ * A tiny-test model with @p layers layers, every @p interval-th of
+ * them a 4-expert MoE layer routing each token to @p top_k experts.
+ */
+model::TransformerConfig
+tinyMoeConfig(std::int64_t layers, std::int64_t interval,
+              std::int64_t top_k)
+{
+    auto cfg = model::presets::tinyTest();
+    cfg.numLayers = layers;
+    cfg.moe.numExperts = 4;
+    cfg.moe.moeLayerInterval = interval;
+    cfg.moe.expertsPerToken = top_k;
+    return cfg;
+}
+
 TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
 {
     std::mt19937 rng(0xA3BED5EEu);
@@ -139,67 +226,64 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     std::size_t total_skipped = 0;
     std::size_t total_memory = 0;
     std::size_t total_failed = 0;
+    const auto tally = [&](const SweepResult &ref) {
+        total_feasible += ref.entries.size() - ref.failed;
+        total_skipped += ref.skipped;
+        total_memory += ref.memorySkipped;
+        total_failed += ref.failed;
+    };
     for (int grid = 0; grid < 200; ++grid) {
         const bool use_mingpt = grid % 2 == 1;
         const auto &model = use_mingpt ? mingpt : tiny;
         const core::MemoryModel *mem =
             use_mingpt && grid % 4 == 1 ? &screen : nullptr;
-
-        std::uniform_int_distribution<std::size_t> pick(
-            0, all_mappings.size() - 1);
-        std::uniform_int_distribution<int> mapping_count(1, 8);
         std::vector<mapping::ParallelismConfig> mappings;
-        const int m = mapping_count(rng);
-        for (int i = 0; i < m; ++i)
-            mappings.push_back(all_mappings[pick(rng)]);
-
-        std::uniform_int_distribution<int> job_count(1, 6);
-        std::uniform_int_distribution<int> batch_pick(0, 7);
-        std::uniform_int_distribution<int> odds(0, 9);
-        static const double kBatches[] = {1.0,   2.0,    7.0,
-                                          16.0,  64.0,   63.0,
-                                          256.0, 4096.0};
         std::vector<core::TrainingJob> jobs;
-        const int j = job_count(rng);
-        for (int i = 0; i < j; ++i) {
-            core::TrainingJob job;
-            job.batchSize = kBatches[batch_pick(rng)];
-            job.totalTrainingTokens = 1e9;
-            const int roll = odds(rng);
-            if (roll == 0) // Poison: NaN-pins the whole row.
-                job.numBatchesOverride =
-                    std::numeric_limits<double>::infinity();
-            else if (roll < 3)
-                job.numBatchesOverride = 5.0;
-            if (roll == 4) // Often infeasible for large mappings.
-                job.microbatching.microbatchSizeOverride = 2.0;
-            else if (roll == 5)
-                job.microbatching.numMicrobatchesOverride = 4.0;
-            jobs.push_back(job);
-        }
+        drawGrid(rng, all_mappings, mappings, jobs);
+        tally(expectGridMatchesReference(model, mem, mappings, jobs));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first mismatch at grid " << grid;
+    }
 
-        testing::internal::CaptureStderr();
-        const auto ref =
-            testutil::referenceSweep(model, mem, mappings, jobs);
-        const std::string ref_stderr =
-            testing::internal::GetCapturedStderr();
-        total_feasible += ref.entries.size() - ref.failed;
-        total_skipped += ref.skipped;
-        total_memory += ref.memorySkipped;
-        total_failed += ref.failed;
-
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            const std::string label =
-                "explorer@" + std::to_string(threads);
-            std::string got_stderr;
-            const auto got = runExplorer(model, mem, threads, mappings,
-                                         jobs, got_stderr);
-            ASSERT_NO_FATAL_FAILURE(
-                expectIdentical(ref, got, ref_stderr, got_stderr,
-                                label.c_str()))
-                << "grid " << grid << " " << label;
-            if (::testing::Test::HasFailure())
-                FAIL() << "first mismatch at grid " << grid;
+    // Mixture-of-experts models, on a seeded loop of their own so the
+    // draws above keep their inputs.  A dense model has one layer
+    // class; these have a dense and an MoE class (one class at
+    // interval 1) in several layer patterns, so they pin the
+    // per-class forward, weight-update, MoE and gradient sums.
+    std::mt19937 moe_rng(0x3E0E6A1Du);
+    int moe_grid = 0;
+    std::size_t moe_feasible = 0;
+    for (const std::int64_t layers : {4, 7, 12}) {
+        for (const std::int64_t interval : {1, 2, 3}) {
+            for (const std::int64_t top_k : {1, 2}) {
+                for (const bool moe_comm : {true, false}) {
+                    const auto cfg =
+                        tinyMoeConfig(layers, interval, top_k);
+                    core::ModelOptions options;
+                    options.enableMoeComm = moe_comm;
+                    const core::AmpedModel model(
+                        cfg, hw::presets::tinyTest(),
+                        hw::MicrobatchEfficiency(0.8, 4.0),
+                        testSystem(), options);
+                    const core::MemoryModel moe_screen(
+                        model::OpCounter(cfg), hw::presets::tinyTest(),
+                        screen_options);
+                    std::vector<mapping::ParallelismConfig> mappings;
+                    std::vector<core::TrainingJob> jobs;
+                    drawGrid(moe_rng, all_mappings, mappings, jobs);
+                    const auto ref = expectGridMatchesReference(
+                        model, moe_grid % 2 == 1 ? &moe_screen : nullptr,
+                        mappings, jobs);
+                    tally(ref);
+                    moe_feasible += ref.entries.size() - ref.failed;
+                    if (::testing::Test::HasFailure())
+                        FAIL() << "first mismatch at MoE grid " << moe_grid
+                               << " (" << layers << " layers, interval "
+                               << interval << ", top " << top_k
+                               << ", MoE comm " << moe_comm << ")";
+                    ++moe_grid;
+                }
+            }
         }
     }
     // The generator must actually exercise every outcome class, or
@@ -208,6 +292,61 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(total_skipped, 0u);
     EXPECT_GT(total_memory, 0u);
     EXPECT_GT(total_failed, 0u);
+    EXPECT_GT(moe_feasible, 0u);
+}
+
+TEST(ExploreBatchTest, TermIdsAreTheSameAtAnyWorkerCount)
+{
+    // Term ids come from keys each job collects in parallel.  Small
+    // batch sizes leave a job's high-parallelism classes infeasible,
+    // so the jobs' distinct-key lists differ in length, and 48 jobs
+    // span several work chunks.
+    const auto cfg = tinyMoeConfig(7, 2, 2);
+    const core::AmpedModel model(cfg, hw::presets::tinyTest(),
+                                 hw::MicrobatchEfficiency(0.8, 4.0),
+                                 testSystem());
+    const auto mappings = mapping::MappingSpace(testSystem()).enumerate();
+    std::vector<core::TrainingJob> jobs;
+    for (int batch = 1; batch <= 48; ++batch) {
+        core::TrainingJob job;
+        job.batchSize = static_cast<double>(batch);
+        job.totalTrainingTokens = 1e9;
+        jobs.push_back(job);
+    }
+
+    const SweepKernel serial(model, nullptr, mappings, jobs, 1);
+    std::size_t shortest = std::numeric_limits<std::size_t>::max();
+    std::size_t longest = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        std::set<std::size_t> forward_ids;
+        for (std::uint32_t c = 0; c < serial.numClasses(); ++c) {
+            const JcEntry &e = serial.jcEntry(c, j);
+            if (e.ubKind == kOk && e.preKind == kOk)
+                forward_ids.insert(e.fwdId);
+        }
+        shortest = std::min(shortest, forward_ids.size());
+        longest = std::max(longest, forward_ids.size());
+    }
+    EXPECT_LT(shortest, longest);
+
+    for (const unsigned workers : {2u, 8u}) {
+        const SweepKernel kernel(model, nullptr, mappings, jobs, workers);
+        ASSERT_EQ(kernel.numClasses(), serial.numClasses());
+        for (std::uint32_t c = 0; c < serial.numClasses(); ++c) {
+            for (std::size_t j = 0; j < jobs.size(); ++j) {
+                const JcEntry &want = serial.jcEntry(c, j);
+                const JcEntry &got = kernel.jcEntry(c, j);
+                EXPECT_EQ(want.ubKind, got.ubKind);
+                EXPECT_EQ(want.preKind, got.preKind);
+                EXPECT_EQ(want.fwdId, got.fwdId);
+                EXPECT_EQ(want.updId, got.updId);
+                EXPECT_EQ(want.moeId, got.moeId);
+                if (::testing::Test::HasFailure())
+                    FAIL() << workers << " workers, class " << c
+                           << ", job " << j;
+            }
+        }
+    }
 }
 
 TEST(ExploreBatchTest, NanPinnedResultIsAllNaN)

@@ -175,6 +175,77 @@ expectSameCounters(const OptimizerCounters &a,
     EXPECT_EQ(a.failed, b.failed) << label;
 }
 
+/**
+ * Draws one random search: 1-8 mappings of @p all_mappings, 1-6 batch
+ * sizes, a job template with NaN poisons, batch-count and
+ * microbatching overrides, and a top-k of 1-6.
+ */
+OptimizerRequest
+drawRequest(std::mt19937 &rng,
+            const std::vector<mapping::ParallelismConfig> &all_mappings,
+            std::vector<mapping::ParallelismConfig> &mappings)
+{
+    std::uniform_int_distribution<std::size_t> pick(
+        0, all_mappings.size() - 1);
+    std::uniform_int_distribution<int> mapping_count(1, 8);
+    const int m = mapping_count(rng);
+    for (int i = 0; i < m; ++i)
+        mappings.push_back(all_mappings[pick(rng)]);
+
+    std::uniform_int_distribution<int> batch_count(1, 6);
+    std::uniform_int_distribution<int> batch_pick(0, 7);
+    std::uniform_int_distribution<int> odds(0, 9);
+    static const double kBatches[] = {1.0,   2.0,    7.0,
+                                      16.0,  64.0,   63.0,
+                                      256.0, 4096.0};
+    OptimizerRequest request;
+    const int b = batch_count(rng);
+    for (int i = 0; i < b; ++i)
+        request.batchSizes.push_back(kBatches[batch_pick(rng)]);
+    request.jobTemplate.totalTrainingTokens = 1e9;
+    const int roll = odds(rng);
+    if (roll == 0) // Poison: NaN-pins every point of the grid.
+        request.jobTemplate.numBatchesOverride =
+            std::numeric_limits<double>::infinity();
+    else if (roll < 3)
+        request.jobTemplate.numBatchesOverride = 5.0;
+    if (roll == 4) // Often infeasible for large mappings.
+        request.jobTemplate.microbatching.microbatchSizeOverride = 2.0;
+    else if (roll == 5)
+        request.jobTemplate.microbatching.numMicrobatchesOverride = 4.0;
+    std::uniform_int_distribution<int> k_pick(1, 6);
+    request.topK = static_cast<std::size_t>(k_pick(rng));
+    return request;
+}
+
+/**
+ * Runs one search at 1, 2 and 8 threads against brute force,
+ * asserting bit-identical rankings, thread-invariant counters and
+ * their partition; returns the counters of the 1-thread run.
+ */
+OptimizerCounters
+expectSearchMatchesBruteForce(
+    const core::AmpedModel &model, const core::MemoryModel *mem,
+    const std::vector<mapping::ParallelismConfig> &mappings,
+    const OptimizerRequest &request)
+{
+    const auto ref =
+        bruteForceTopK(model, mem, mappings, request.batchSizes,
+                       request.jobTemplate, request.topK);
+    const auto at1 = runOptimizer(model, mem, 1, mappings, request);
+    expectSameRanking(ref, at1.topK, "optimize@1");
+    expectCountersPartition(at1.counters, "optimize@1");
+    for (const unsigned threads : {2u, 8u}) {
+        if (::testing::Test::HasFailure())
+            break;
+        const auto got = runOptimizer(model, mem, threads, mappings, request);
+        const std::string label = "optimize@" + std::to_string(threads);
+        expectSameRanking(ref, got.topK, label.c_str());
+        expectSameCounters(at1.counters, got.counters, label.c_str());
+    }
+    return at1.counters;
+}
+
 TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
 {
     std::mt19937 rng(0xB0DDED17u);
@@ -193,78 +264,69 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     ASSERT_GT(all_mappings.size(), 4u);
 
     OptimizerCounters totals;
+    const auto tally = [&totals](const OptimizerCounters &c) {
+        totals.points += c.points;
+        totals.evaluated += c.evaluated;
+        totals.prunedByMemory += c.prunedByMemory;
+        totals.prunedByBound += c.prunedByBound;
+        totals.skippedInfeasible += c.skippedInfeasible;
+        totals.feasible += c.feasible;
+        totals.failed += c.failed;
+    };
     for (int grid = 0; grid < 200; ++grid) {
         const bool use_mingpt = grid % 2 == 1;
         const auto &model = use_mingpt ? mingpt : tiny;
         const core::MemoryModel *mem =
             use_mingpt && grid % 4 == 1 ? &screen : nullptr;
-
-        std::uniform_int_distribution<std::size_t> pick(
-            0, all_mappings.size() - 1);
-        std::uniform_int_distribution<int> mapping_count(1, 8);
         std::vector<mapping::ParallelismConfig> mappings;
-        const int m = mapping_count(rng);
-        for (int i = 0; i < m; ++i)
-            mappings.push_back(all_mappings[pick(rng)]);
-
-        std::uniform_int_distribution<int> batch_count(1, 6);
-        std::uniform_int_distribution<int> batch_pick(0, 7);
-        std::uniform_int_distribution<int> odds(0, 9);
-        static const double kBatches[] = {1.0,   2.0,    7.0,
-                                          16.0,  64.0,   63.0,
-                                          256.0, 4096.0};
-        OptimizerRequest request;
-        const int b = batch_count(rng);
-        for (int i = 0; i < b; ++i)
-            request.batchSizes.push_back(kBatches[batch_pick(rng)]);
-        request.jobTemplate.totalTrainingTokens = 1e9;
-        const int roll = odds(rng);
-        if (roll == 0) // Poison: NaN-pins every point of the grid.
-            request.jobTemplate.numBatchesOverride =
-                std::numeric_limits<double>::infinity();
-        else if (roll < 3)
-            request.jobTemplate.numBatchesOverride = 5.0;
-        if (roll == 4) // Often infeasible for large mappings.
-            request.jobTemplate.microbatching.microbatchSizeOverride =
-                2.0;
-        else if (roll == 5)
-            request.jobTemplate.microbatching
-                .numMicrobatchesOverride = 4.0;
-        std::uniform_int_distribution<int> k_pick(1, 6);
-        request.topK = static_cast<std::size_t>(k_pick(rng));
-
-        const auto ref = bruteForceTopK(
-            model, mem, mappings, request.batchSizes,
-            request.jobTemplate, request.topK);
-
-        const auto at1 =
-            runOptimizer(model, mem, 1, mappings, request);
-        ASSERT_NO_FATAL_FAILURE(
-            expectSameRanking(ref, at1.topK, "optimize@1"))
-            << "grid " << grid;
-        expectCountersPartition(at1.counters, "optimize@1");
-
-        for (const unsigned threads : {2u, 8u}) {
-            const auto got =
-                runOptimizer(model, mem, threads, mappings, request);
-            const std::string label =
-                "optimize@" + std::to_string(threads);
-            ASSERT_NO_FATAL_FAILURE(
-                expectSameRanking(ref, got.topK, label.c_str()))
-                << "grid " << grid;
-            expectSameCounters(at1.counters, got.counters,
-                               label.c_str());
-        }
+        const auto request = drawRequest(rng, all_mappings, mappings);
+        tally(expectSearchMatchesBruteForce(model, mem, mappings, request));
         if (::testing::Test::HasFailure())
             FAIL() << "first mismatch at grid " << grid;
+    }
 
-        totals.points += at1.counters.points;
-        totals.evaluated += at1.counters.evaluated;
-        totals.prunedByMemory += at1.counters.prunedByMemory;
-        totals.prunedByBound += at1.counters.prunedByBound;
-        totals.skippedInfeasible += at1.counters.skippedInfeasible;
-        totals.feasible += at1.counters.feasible;
-        totals.failed += at1.counters.failed;
+    // Mixture-of-experts models, on a seeded loop of their own so the
+    // draws above keep their inputs: the bound reads the kernel's
+    // per-class MoE and gradient sums, which a dense model (one layer
+    // class) cannot pin.
+    std::mt19937 moe_rng(0x0E5E7A11u);
+    int moe_grid = 0;
+    std::size_t moe_feasible = 0;
+    for (const std::int64_t layers : {4, 7, 12}) {
+        for (const std::int64_t interval : {1, 2, 3}) {
+            for (const std::int64_t top_k : {1, 2}) {
+                for (const bool moe_comm : {true, false}) {
+                    auto cfg = model::presets::tinyTest();
+                    cfg.numLayers = layers;
+                    cfg.moe.numExperts = 4;
+                    cfg.moe.moeLayerInterval = interval;
+                    cfg.moe.expertsPerToken = top_k;
+                    core::ModelOptions options;
+                    options.enableMoeComm = moe_comm;
+                    const core::AmpedModel model(
+                        cfg, hw::presets::tinyTest(),
+                        hw::MicrobatchEfficiency(0.8, 4.0),
+                        testSystem(), options);
+                    const core::MemoryModel moe_screen(
+                        model::OpCounter(cfg), hw::presets::tinyTest(),
+                        screen_options);
+                    std::vector<mapping::ParallelismConfig> mappings;
+                    const auto request =
+                        drawRequest(moe_rng, all_mappings, mappings);
+                    const auto counters = expectSearchMatchesBruteForce(
+                        model, moe_grid % 2 == 1 ? &moe_screen : nullptr,
+                        mappings, request);
+                    tally(counters);
+                    moe_feasible += counters.feasible;
+                    if (::testing::Test::HasFailure())
+                        FAIL() << "first mismatch at MoE grid " << moe_grid
+                               << " (" << layers << " layers, interval "
+                               << interval << ", top " << top_k
+                               << ", MoE comm " << moe_comm << ")";
+                    ++moe_grid;
+                }
+            }
+        }
     }
     // The generator must exercise every disposition class — in
     // particular prunedByBound > 0 together with the bit-identical
@@ -276,6 +338,7 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     EXPECT_GT(totals.skippedInfeasible, 0u);
     EXPECT_GT(totals.failed, 0u);
     EXPECT_LT(totals.evaluated, totals.points);
+    EXPECT_GT(moe_feasible, 0u);
 }
 
 /**

@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Same-runner A/B gate on sweep throughput (the CI perf gate).
+"""Same-runner A/B gate on sweep and optimize times (the CI perf gate).
 
 Usage: sweep_ab.py BASE_BIN HEAD_BIN
 
 Both arguments are perf_microbench binaries, one built at the base
 commit and one at HEAD.  Each side runs `BIN --sweep-bench-out FILE`
-(the 1,008,000-point Case Study I sweep) ten times, in pairs that
-alternate which side runs first, and the sweep seconds are read from
-the last element of the record's `runs` list.
+ten times, in pairs that alternate which side runs first.  One run
+times the 1,008,000-point Case Study I sweep (the last element of the
+record's `runs` list) and, from record schema 3 on, `amped optimize`
+on the same grid (the median seconds in the record's `optimize`
+object).
 
-The gate fails (exit 1) only when both hold:
+Each of the two timings fails the gate (exit 1) only when both hold:
   - HEAD's median seconds exceed the base's by more than 25 %, the
     timing bound BENCHMARK.json sets for the repository benchmark;
   - HEAD is slower in at least 9 of the 10 pairs.
 Both sides run on the same machine in the same minutes, so host speed
-cancels out and no checked-in baseline is needed.  Exit 2 means a run
-failed or the command line was wrong.
+cancels out and no checked-in baseline is needed.  A base built before
+the optimize record existed gates the sweep alone, with a notice.
+Exit 2 means a run failed or the command line was wrong.
 """
 
 import json
@@ -30,10 +33,31 @@ BOUND = 0.25
 MIN_SLOWER_PAIRS = 9
 
 
-def sweep_seconds(binary, record_path):
+def run_seconds(binary, record_path):
+    """Returns (sweep seconds, optimize seconds or None) of one run."""
     subprocess.run([binary, "--sweep-bench-out", record_path], check=True)
     with open(record_path) as record:
-        return float(json.load(record)["runs"][-1]["seconds"])
+        data = json.load(record)
+    optimize = data.get("optimize")
+    return (float(data["runs"][-1]["seconds"]),
+            float(optimize["seconds"]) if optimize else None)
+
+
+def gate(name, pairs):
+    """Prints the verdict on (base, head) pairs; True when HEAD fails."""
+    base_median = statistics.median(base for base, _ in pairs)
+    head_median = statistics.median(head for _, head in pairs)
+    change = head_median / base_median - 1.0
+    slower = sum(1 for base, head in pairs if head > base)
+    print(f"{name}: median base {base_median:.3f} s, head "
+          f"{head_median:.3f} s ({change:+.1%}); head slower in "
+          f"{slower}/{len(pairs)} pairs")
+    if change > BOUND and slower >= MIN_SLOWER_PAIRS:
+        print(f"sweep_ab: FAIL: {name}: head is more than {BOUND:.0%} "
+              f"slower and lost {slower} of {len(pairs)} pairs",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def main(argv):
@@ -41,7 +65,8 @@ def main(argv):
         print("usage: sweep_ab.py BASE_BIN HEAD_BIN", file=sys.stderr)
         return 2
     binaries = {"base": argv[1], "head": argv[2]}
-    pairs = []
+    sweeps = []
+    optimizes = []
     with tempfile.TemporaryDirectory() as scratch:
         record_path = os.path.join(scratch, "BENCH_sweep.json")
         for pair in range(PAIRS):
@@ -49,27 +74,31 @@ def main(argv):
             seconds = {}
             for side in order:
                 try:
-                    seconds[side] = sweep_seconds(binaries[side],
-                                                  record_path)
+                    seconds[side] = run_seconds(binaries[side],
+                                                record_path)
                 except (OSError, subprocess.CalledProcessError,
-                        KeyError, ValueError) as error:
+                        KeyError, TypeError, ValueError) as error:
                     print(f"sweep_ab: {side} run failed: {error}",
                           file=sys.stderr)
                     return 2
-            pairs.append((seconds["base"], seconds["head"]))
-            print(f"pair {pair + 1} ({order[0]} first): "
-                  f"base {seconds['base']:.3f} s, "
-                  f"head {seconds['head']:.3f} s", flush=True)
+            (base_sweep, base_opt) = seconds["base"]
+            (head_sweep, head_opt) = seconds["head"]
+            sweeps.append((base_sweep, head_sweep))
+            line = (f"pair {pair + 1} ({order[0]} first): sweep base "
+                    f"{base_sweep:.3f} s, head {head_sweep:.3f} s")
+            if base_opt is not None and head_opt is not None:
+                optimizes.append((base_opt, head_opt))
+                line += (f"; optimize base {base_opt:.3f} s, head "
+                         f"{head_opt:.3f} s")
+            print(line, flush=True)
 
-    base_median = statistics.median(base for base, _ in pairs)
-    head_median = statistics.median(head for _, head in pairs)
-    change = head_median / base_median - 1.0
-    slower = sum(1 for base, head in pairs if head > base)
-    print(f"median base {base_median:.3f} s, head {head_median:.3f} s "
-          f"({change:+.1%}); head slower in {slower}/{PAIRS} pairs")
-    if change > BOUND and slower >= MIN_SLOWER_PAIRS:
-        print(f"sweep_ab: FAIL: head is more than {BOUND:.0%} slower "
-              f"and lost {slower} of {PAIRS} pairs", file=sys.stderr)
+    failed = gate("sweep", sweeps)
+    if len(optimizes) == PAIRS:
+        failed = gate("optimize", optimizes) or failed
+    else:
+        print("::notice::a record has no optimize timing (a build "
+              "older than record schema 3); the sweep alone is gated")
+    if failed:
         return 1
     print("sweep_ab: pass")
     return 0
