@@ -92,7 +92,7 @@ main(int argc, char **argv)
     explorer.setMemoryModel(memory_model);
     auto sweep = explorer.sweep(
         mappings, batches, bench::caseStudyJob(batches.front()));
-    explore::Explorer::sortByTime(sweep.entries);
+    explore::Explorer::sortByTime(sweep.entries, explorer.threads());
     require(sweep.entries.size() >= top_k,
             "exhaustive sweep produced fewer than ", top_k,
             " feasible strategies");

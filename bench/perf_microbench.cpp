@@ -345,13 +345,16 @@ parseCount(const char *flag, const char *text, T min, T &out)
  * Sweep-throughput bench mode (the record behind the CI perf gate,
  * tools/sweep_ab.py).  Times one un-memoized sweep of the
  * (mapping x batch) grid, after one untimed warm-up sweep of the same
- * grid, then `amped optimize` on that grid: one untimed and five
- * timed Optimizer::optimizeOver calls with the memory screen and
- * top 3 of bench/optimizer_case_study.  It writes a machine-readable
- * JSON record (BENCH_sweep.json, schema 3: grid size, threads, sweep
- * counters, one `runs` element with seconds / items_per_sec /
- * bytes_per_sec, and an `optimize` object with the median seconds
- * and the evaluated / pruned-by-bound / pruned-by-memory counters).
+ * grid, then one Explorer::sortByTime of that sweep's rows at the
+ * same thread cap, then `amped optimize` on that grid: one untimed
+ * and five timed Optimizer::optimizeOver calls with the memory
+ * screen and top 3 of bench/optimizer_case_study.  It writes a
+ * machine-readable JSON record (BENCH_sweep.json, schema 4: grid
+ * size, threads, sweep counters, one `runs` element with seconds /
+ * items_per_sec / bytes_per_sec, a `rank` object with the ranked
+ * entry count and seconds, and an `optimize` object with the median
+ * seconds and the evaluated / pruned-by-bound / pruned-by-memory
+ * counters).
  * Seconds are host-relative, so the gate compares two builds run
  * alternately on the same machine rather than a checked-in number.
  *
@@ -435,6 +438,14 @@ runSweepBenchMode(int argc, char **argv)
     counters.set("skipped", sweep.skipped);
     counters.set("memory_skipped", sweep.memorySkipped);
     counters.set("failed", sweep.failed);
+
+    const auto rank_start = clock::now();
+    explore::Explorer::sortByTime(sweep.entries, threads);
+    const double rank_seconds =
+        std::chrono::duration<double>(clock::now() - rank_start).count();
+    obs::Json rank = obs::Json::object();
+    rank.set("entries", sweep.entries.size());
+    rank.set("seconds", rank_seconds);
     sweep = explore::SweepResult(); // Free the rows before optimizing.
 
     explore::Optimizer optimizer(caseStudyModel());
@@ -471,7 +482,7 @@ runSweepBenchMode(int argc, char **argv)
     optimize.set("counters", std::move(optimize_counters));
 
     obs::Json root = obs::Json::object();
-    root.set("schema_version", 3);
+    root.set("schema_version", 4);
     root.set("kind", "amped.sweep_bench");
     root.set("grid", std::move(grid));
     root.set("threads", std::move(thread_info));
@@ -480,6 +491,7 @@ runSweepBenchMode(int argc, char **argv)
     obs::Json runs = obs::Json::array();
     runs.push(std::move(run));
     root.set("runs", std::move(runs));
+    root.set("rank", std::move(rank));
     root.set("optimize", std::move(optimize));
 
     std::ofstream out(out_path);
@@ -492,11 +504,11 @@ runSweepBenchMode(int argc, char **argv)
     out << root.dump(2) << "\n";
     out.close();
     std::fprintf(stderr,
-                 "sweep: %zu points in %.3f s (%.0f/s); optimize: "
-                 "median %.3f s of %zu, %zu evaluated -> %s\n",
+                 "sweep: %zu points in %.3f s (%.0f/s); rank: %.3f s; "
+                 "optimize: median %.3f s of %zu, %zu evaluated -> %s\n",
                  points, seconds, static_cast<double>(points) / seconds,
-                 optimize_median, kTimedOptimizeCalls, found.evaluated,
-                 out_path.c_str());
+                 rank_seconds, optimize_median, kTimedOptimizeCalls,
+                 found.evaluated, out_path.c_str());
     return 0;
 }
 

@@ -91,7 +91,7 @@ main(int argc, char **argv)
         std::cout << sweep.entries.size() << " feasible mappings, "
                   << sweep.skipped << " skipped (batch too small)\n\n";
 
-        explore::Explorer::sortByTime(sweep.entries);
+        explore::Explorer::sortByTime(sweep.entries, explorer.threads());
         if (sweep.entries.size() > top_k)
             sweep.entries.resize(top_k);
         std::cout << "top " << sweep.entries.size()

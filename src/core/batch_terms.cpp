@@ -294,7 +294,20 @@ void
 SweepTermCache::primeModelFlops(Entry &entry) const
 {
     try {
-        entry.value = model_.opCounter().modelFlopsPerBatch(entry.keyA);
+        // Mirrors OpCounter::modelFlopsPerBatch, its check first and
+        // the per-layer MAC sum replayed per class.
+        const auto &counter = model_.opCounter();
+        const double batch = entry.keyA;
+        require(batch > 0.0, "batch size must be positive, got ", batch);
+        std::array<double, kMaxLayerClasses> layer_macs{};
+        for (std::size_t c = 0; c < classLayer_.size(); ++c)
+            layer_macs[c] = counter.layerMacsForward(classLayer_[c], batch);
+        double fwd_macs = sumOverLayers(layer_macs);
+        if (counter.options().includeEmbeddingFlops)
+            fwd_macs += counter.embeddingMacs(batch);
+        const double multiplier =
+            counter.options().activationRecompute ? 4.0 : 3.0;
+        entry.value = 2.0 * fwd_macs * multiplier;
         entry.outcome = Outcome::ok;
     } catch (const UserError &e) {
         entry.outcome = Outcome::userError;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -25,6 +26,18 @@ timeKey(const SweepEntry &entry)
     return std::isnan(t) ? std::numeric_limits<double>::infinity()
                          : t;
 }
+
+/** sortByTime uses one worker per this many entries. */
+constexpr std::size_t kRankRowsPerWorker = std::size_t{1} << 16;
+
+/** sortByTime's key fill: entries per work grab. */
+constexpr std::size_t kKeysPerGrab = 4096;
+
+/** Every kSplitStride-th slot starts one permutation walk. */
+constexpr std::size_t kSplitStride = 256;
+
+/** Split points per work grab: walks vary in length, so grab few. */
+constexpr std::size_t kSplitsPerGrab = 16;
 
 } // namespace
 
@@ -113,8 +126,20 @@ Explorer::best(const SweepResult &sweep_result)
 }
 
 void
-Explorer::sortByTime(std::vector<SweepEntry> &entries)
+Explorer::sortByTime(std::vector<SweepEntry> &entries,
+                     unsigned max_workers)
 {
+    const std::size_t n = entries.size();
+    if (n < 2)
+        return;
+    // One worker per kRankRowsPerWorker entries, so a small ranking
+    // (a serve sweep's few thousand rows) runs every phase inline.
+    const std::size_t cap =
+        max_workers > 0 ? max_workers : ThreadPool::defaultThreadCount();
+    const std::size_t workers = std::min(
+        cap, (n + kRankRowsPerWorker - 1) / kRankRowsPerWorker);
+    ThreadPool &pool = ThreadPool::shared();
+
     // Rank 16-byte (key, index) pairs rather than the entries
     // themselves.  The index breaks key ties, so the order is exactly
     // a stable sort's.  Keys are never NaN, so -0.0 and +0.0 tie.
@@ -123,30 +148,107 @@ Explorer::sortByTime(std::vector<SweepEntry> &entries)
         double key;
         std::size_t index;
     };
-    const std::size_t n = entries.size();
+    const auto before = [](const Ranked &a, const Ranked &b) {
+        return a.key != b.key ? a.key < b.key : a.index < b.index;
+    };
     std::vector<Ranked> order(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order[i] = {timeKey(entries[i]), i};
-    std::sort(order.begin(), order.end(),
-              [](const Ranked &a, const Ranked &b) {
-                  return a.key != b.key ? a.key < b.key
-                                        : a.index < b.index;
-              });
+    pool.parallelFor(
+        n, kKeysPerGrab,
+        [&](std::size_t i) { order[i] = {timeKey(entries[i]), i}; },
+        workers);
 
-    // Apply the permutation in place, one cycle at a time: slot k
-    // takes the entry at order[k].index, so every entry moves once
-    // (plus one move per cycle through `held`).  A placed slot is
-    // marked by pointing its index at itself.
+    // Sort in place: cut the pairs into `workers` equal ranges with
+    // nth_element, halving the open bound intervals level by level
+    // (one parallelFor per level), then sort each range.  (key,
+    // index) is a strict total order, so each range receives exactly
+    // the pairs of its final positions, whatever the range count.
+    const std::size_t ranges = workers;
+    std::vector<std::size_t> bound(ranges + 1);
+    for (std::size_t k = 0; k <= ranges; ++k)
+        bound[k] = k * n / ranges;
+    const auto first = order.begin();
+    // (lo, hi) bound indices whose interior bounds are not placed yet.
+    std::vector<std::pair<std::size_t, std::size_t>> level;
+    if (ranges > 1)
+        level.emplace_back(0, ranges);
+    while (!level.empty()) {
+        pool.parallelFor(
+            level.size(), 1,
+            [&](std::size_t i) {
+                const auto [lo, hi] = level[i];
+                std::nth_element(first + bound[lo],
+                                 first + bound[(lo + hi) / 2],
+                                 first + bound[hi], before);
+            },
+            workers);
+        std::vector<std::pair<std::size_t, std::size_t>> next;
+        for (const auto &[lo, hi] : level) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (mid - lo > 1)
+                next.emplace_back(lo, mid);
+            if (hi - mid > 1)
+                next.emplace_back(mid, hi);
+        }
+        level = std::move(next);
+    }
+    pool.parallelFor(
+        ranges, 1,
+        [&](std::size_t k) {
+            std::sort(first + bound[k], first + bound[k + 1], before);
+        },
+        workers);
+
+    // Apply the permutation in place: slot k takes the entry at
+    // order[k].index, and a placed slot is marked by pointing its
+    // index at itself.  Every kSplitStride-th slot is a split point.
+    // First each split point's entry moves to `held` (fixed points
+    // stay); then one walk per split point fills its cycle forward
+    // until the source is a split point, whose entry comes from
+    // `held`.  Each walk covers the slots from its split point up to
+    // the next one on its cycle, so the walks touch disjoint slots.
+    const std::size_t splits = (n + kSplitStride - 1) / kSplitStride;
+    std::vector<SweepEntry> held(splits);
+    pool.parallelFor(
+        splits, kSplitsPerGrab,
+        [&](std::size_t p) {
+            const std::size_t split = p * kSplitStride;
+            if (order[split].index != split)
+                held[p] = std::move(entries[split]);
+        },
+        workers);
+    pool.parallelFor(
+        splits, kSplitsPerGrab,
+        [&](std::size_t p) {
+            std::size_t slot = p * kSplitStride;
+            if (order[slot].index == slot)
+                return;
+            for (;;) {
+                const std::size_t from = order[slot].index;
+                order[slot].index = slot;
+                if (from % kSplitStride == 0) {
+                    entries[slot] = std::move(held[from / kSplitStride]);
+                    return;
+                }
+                entries[slot] = std::move(entries[from]);
+                slot = from;
+            }
+        },
+        workers);
+
+    // What is left are cycles through no split point: follow each one
+    // on this thread.  Every entry moves once, plus one move per split
+    // point through `held` and one per remaining cycle through
+    // `carried`.
     for (std::size_t start = 0; start < n; ++start) {
         if (order[start].index == start)
             continue;
-        SweepEntry held = std::move(entries[start]);
+        SweepEntry carried = std::move(entries[start]);
         std::size_t slot = start;
         for (;;) {
             const std::size_t from = order[slot].index;
             order[slot].index = slot;
             if (from == start) {
-                entries[slot] = std::move(held);
+                entries[slot] = std::move(carried);
                 break;
             }
             entries[slot] = std::move(entries[from]);

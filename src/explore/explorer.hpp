@@ -163,10 +163,23 @@ class Explorer
      * stable: entries with equal times (-0.0 equals +0.0) keep their
      * input order.  NaN-pinned entries rank as +infinity, so they go
      * last, in input order (interleaved by input position with any
-     * +infinity times).  Extra memory is 16 bytes per entry; each
-     * entry is moved once.
+     * +infinity times).
+     *
+     * Runs on the shared ThreadPool with one worker per 64 Ki
+     * entries, capped at @p max_workers, so a ranking below 64 Ki
+     * entries runs inline on the calling thread.  The ranking is the
+     * unique order of (time, input index), so the result is byte-
+     * identical at any worker count.  Extra memory is 16 bytes per
+     * entry plus one entry per 256; each entry is moved about once.
+     * Must not be called from inside a ThreadPool task (parallelFor
+     * does not nest).
+     *
+     * @param max_workers Parallelism cap (0 = AMPED_THREADS or every
+     *        hardware thread); callers pass their Explorer's
+     *        threads().
      */
-    static void sortByTime(std::vector<SweepEntry> &entries);
+    static void sortByTime(std::vector<SweepEntry> &entries,
+                           unsigned max_workers = 0);
 
     /** The underlying model. */
     const core::AmpedModel &model() const { return model_; }

@@ -581,7 +581,7 @@ Server::runRequest(const Request &request, const CancelToken &token)
                 memoryModelFor(model));
         auto sweep = explorer.sweepAll(batches,
                                        jobFromParams(params));
-        explore::Explorer::sortByTime(sweep.entries);
+        explore::Explorer::sortByTime(sweep.entries, explorer.threads());
         const bool whole_ranking = sweep.entries.size() <= top;
         if (!whole_ranking)
             sweep.entries.resize(top);

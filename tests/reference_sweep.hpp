@@ -14,11 +14,16 @@
  * The kernel (explore/sweep_kernel.hpp) caches and reorders nothing
  * that changes a bit, so its SweepResult must equal this one exactly:
  * entries, counters and warning lines.
+ *
+ * referenceRank is the oracle for Explorer::sortByTime: a
+ * std::stable_sort by total time, which shares no code with the
+ * parallel ranking.
  */
 
 #ifndef AMPED_TESTS_REFERENCE_SWEEP_HPP
 #define AMPED_TESTS_REFERENCE_SWEEP_HPP
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
 #include <limits>
@@ -101,6 +106,26 @@ referenceSweep(const core::AmpedModel &model,
         }
     }
     return out;
+}
+
+/**
+ * Ranks entries ascending by total time with std::stable_sort, NaN
+ * keyed as +infinity: equal times (-0.0 equals +0.0) keep their input
+ * order, and NaN-pinned entries go last in input order.
+ */
+inline void
+referenceRank(std::vector<explore::SweepEntry> &entries)
+{
+    const auto key = [](const explore::SweepEntry &e) {
+        const double t = e.result.totalTime;
+        return std::isnan(t) ? std::numeric_limits<double>::infinity()
+                             : t;
+    };
+    std::stable_sort(entries.begin(), entries.end(),
+                     [&key](const explore::SweepEntry &a,
+                            const explore::SweepEntry &b) {
+                         return key(a) < key(b);
+                     });
 }
 
 } // namespace testutil

@@ -22,6 +22,7 @@
 #include "explore/explorer.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
+#include "reference_sweep.hpp"
 
 namespace amped {
 namespace explore {
@@ -220,48 +221,107 @@ tiedEntries(std::size_t n, std::uint64_t seed)
     return entries;
 }
 
+/** Input orders that take different paths through sortByTime. */
+enum class RankInput
+{
+    random,       ///< tiedEntries: long cycles, heavy ties.
+    sorted,       ///< The identity permutation: every slot fixed.
+    reversed,     ///< Two-cycles, some through a split point.
+    swappedPairs, ///< Two-cycles through no split point.
+    allNan,       ///< Every key +infinity: order by index alone.
+    oneKey        ///< Every key equal and finite.
+};
+
+/**
+ * n entries in the order @p kind names, each carrying its input
+ * position in batchSize.  sortByTime's permutation walks start at
+ * every 256th slot (its split points); swappedPairs swaps adjacent
+ * keys only between the slots in between, so every cycle misses the
+ * split points and the serial pass places every entry.
+ */
+std::vector<SweepEntry>
+rankInput(RankInput kind, std::size_t n, std::uint64_t seed)
+{
+    if (kind == RankInput::random)
+        return tiedEntries(n, seed);
+    std::vector<SweepEntry> entries(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        SweepEntry &entry = entries[i];
+        entry.batchSize = static_cast<double>(i);
+        double key = static_cast<double>(i);
+        const std::size_t offset = i % 256;
+        switch (kind) {
+        case RankInput::reversed:
+            key = static_cast<double>(n - i);
+            break;
+        case RankInput::swappedPairs:
+            if (offset >= 1 && offset <= 254) {
+                if (offset % 2 == 1 && i + 1 < n)
+                    key = static_cast<double>(i + 1);
+                else if (offset % 2 == 0)
+                    key = static_cast<double>(i - 1);
+            }
+            break;
+        case RankInput::allNan:
+            key = std::numeric_limits<double>::quiet_NaN();
+            break;
+        case RankInput::oneKey:
+            key = 1.5;
+            break;
+        case RankInput::random:
+        case RankInput::sorted:
+            break;
+        }
+        entry.result.totalTime = key;
+    }
+    return entries;
+}
+
 TEST(ExplorerTest, SortByTimeMatchesStableSortByteForByte)
 {
     static_assert(std::is_trivially_copyable_v<SweepEntry>,
                   "entries are compared with memcmp");
-    // The reference is the comparator sortByTime has always ranked
-    // by (NaN as +infinity) under std::stable_sort.
-    const auto stableReference = [](std::vector<SweepEntry> entries) {
-        std::stable_sort(
-            entries.begin(), entries.end(),
-            [](const SweepEntry &a, const SweepEntry &b) {
-                const auto key = [](const SweepEntry &e) {
-                    const double t = e.result.totalTime;
-                    return std::isnan(t)
-                               ? std::numeric_limits<double>::infinity()
-                               : t;
-                };
-                return key(a) < key(b);
-            });
-        return entries;
-    };
     const auto expectSameBytes = [](const std::vector<SweepEntry> &a,
                                      const std::vector<SweepEntry> &b) {
         ASSERT_EQ(a.size(), b.size());
+        if (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(SweepEntry)) == 0)
+            return;
         for (std::size_t i = 0; i < a.size(); ++i)
             ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(SweepEntry)), 0)
                 << "first difference at position " << i;
     };
-    // ~100k entries in random key order exercise long permutation
-    // cycles; the small sizes cover the edge cases.
-    for (const std::size_t n : {0, 1, 2, 3, 1000, 100003}) {
-        const std::uint64_t seeds = n < 1000 ? 8 : 2;
-        for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-            SCOPED_TRACE("n=" + std::to_string(n) +
-                         " seed=" + std::to_string(seed));
-            auto ranked = tiedEntries(n, seed);
-            const auto expected = stableReference(ranked);
-            Explorer::sortByTime(ranked);
-            expectSameBytes(ranked, expected);
-            // Sorted input is the identity permutation.
-            auto again = ranked;
-            Explorer::sortByTime(again);
-            expectSameBytes(again, expected);
+    // The small sizes cover the edge cases.  2^18 + 1 entries split
+    // into one range per 64 Ki entries (1, 2, 4 and 5 ranges at the
+    // caps below) and cross 1,025 split points; every worker cap must
+    // give the reference's bytes (testutil::referenceRank, a
+    // std::stable_sort).  The sorted input is the identity
+    // permutation.
+    const RankInput kinds[] = {RankInput::random,  RankInput::sorted,
+                               RankInput::reversed,
+                               RankInput::swappedPairs,
+                               RankInput::allNan, RankInput::oneKey};
+    // Buffers reused across inputs.
+    std::vector<SweepEntry> expected;
+    std::vector<SweepEntry> ranked;
+    for (const std::size_t n : {0, 1, 2, 3, 1000, (1 << 18) + 1}) {
+        for (const RankInput kind : kinds) {
+            const std::uint64_t seeds =
+                kind == RankInput::random && n <= 1000 ? 8 : 1;
+            for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " input=" +
+                             std::to_string(static_cast<int>(kind)) +
+                             " seed=" + std::to_string(seed));
+                const auto input = rankInput(kind, n, seed);
+                expected = input;
+                testutil::referenceRank(expected);
+                for (const unsigned cap : {1u, 2u, 4u, 8u}) {
+                    SCOPED_TRACE("max_workers=" + std::to_string(cap));
+                    ranked = input;
+                    Explorer::sortByTime(ranked, cap);
+                    expectSameBytes(ranked, expected);
+                }
+            }
         }
     }
 }

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "core/batch_terms.hpp"
 #include "core/memory_model.hpp"
 #include "entry_bits.hpp"
 #include "explore/explorer.hpp"
@@ -344,6 +346,70 @@ TEST(ExploreBatchTest, TermIdsAreTheSameAtAnyWorkerCount)
                 if (::testing::Test::HasFailure())
                     FAIL() << workers << " workers, class " << c
                            << ", job " << j;
+            }
+        }
+    }
+}
+
+TEST(ExploreBatchTest, ModelFlopsMatchOpCounterBitwise)
+{
+    // The term cache replays the per-layer MAC sum per layer class.
+    // Every preset (GLaM's MoE layers alternate with dense ones, as
+    // in the 7-layer MoE config), with each FLOP convention on and
+    // off, must give OpCounter::modelFlopsPerBatch's bits, and a
+    // non-positive batch its UserError text.
+    const std::vector<model::TransformerConfig> models = {
+        model::presets::tinyTest(),       model::presets::minGpt85M(),
+        model::presets::minGptPipeline(), model::presets::gpt3_175B(),
+        model::presets::megatron145B(),   model::presets::megatron310B(),
+        model::presets::megatron530B(),   model::presets::megatron1T(),
+        model::presets::gpipeTransformer24(),
+        model::presets::glamMoE(),        tinyMoeConfig(7, 2, 2)};
+    const std::vector<double> batches = {1.0, 3.5, 512.0, 2056.0, 1e6};
+    const std::vector<double> bad_batches = {0.0, -8.0};
+    for (const auto &cfg : models) {
+        for (const bool recompute : {true, false}) {
+            for (const bool embedding : {true, false}) {
+                const std::string label =
+                    cfg.name + (recompute ? " recompute" : "") +
+                    (embedding ? " embedding" : "");
+                model::OpCountOptions options;
+                options.activationRecompute = recompute;
+                options.includeEmbeddingFlops = embedding;
+                const core::AmpedModel model(
+                    cfg, hw::presets::a100(),
+                    hw::MicrobatchEfficiency(0.8, 4.0), testSystem(),
+                    core::ModelOptions{}, options);
+                core::SweepTermCache cache(model);
+                std::vector<std::size_t> ids;
+                for (const double batch : batches)
+                    ids.push_back(cache.registerModelFlops(batch));
+                std::vector<std::size_t> bad_ids;
+                for (const double batch : bad_batches)
+                    bad_ids.push_back(cache.registerModelFlops(batch));
+                ASSERT_EQ(cache.prime(1), RunStatus::Completed);
+
+                const model::OpCounter &counter = model.opCounter();
+                for (std::size_t i = 0; i < batches.size(); ++i)
+                    EXPECT_EQ(bits(cache.modelFlopsPerBatch(ids[i])),
+                              bits(counter.modelFlopsPerBatch(batches[i])))
+                        << label << " batch " << batches[i];
+                for (std::size_t i = 0; i < bad_batches.size(); ++i) {
+                    std::string want;
+                    try {
+                        (void)counter.modelFlopsPerBatch(bad_batches[i]);
+                    } catch (const UserError &e) {
+                        want = e.what();
+                    }
+                    ASSERT_FALSE(want.empty()) << label;
+                    try {
+                        (void)cache.modelFlopsPerBatch(bad_ids[i]);
+                        ADD_FAILURE() << label << ": batch "
+                                      << bad_batches[i] << " did not throw";
+                    } catch (const UserError &e) {
+                        EXPECT_EQ(std::string(e.what()), want) << label;
+                    }
+                }
             }
         }
     }

@@ -86,11 +86,10 @@ using testutil::entryBits;
 
 /**
  * Brute-force reference ranking: evaluate the whole grid point by
- * point with AmpedModel::evaluate (reference_sweep.hpp, which shares
- * no code with the kernel the optimizer searches with), sort
- * ascending by total time (NaN last, ties in grid order —
- * Explorer::sortByTime is stable over grid-ordered entries) and
- * truncate to k.
+ * point with AmpedModel::evaluate and rank it with std::stable_sort
+ * (reference_sweep.hpp, which shares no code with the kernel the
+ * optimizer searches with or with Explorer::sortByTime): ascending
+ * by total time, NaN last, ties in grid order.  Then truncate to k.
  */
 std::vector<SweepEntry>
 bruteForceTopK(const core::AmpedModel &model,
@@ -108,7 +107,7 @@ bruteForceTopK(const core::AmpedModel &model,
     testing::internal::CaptureStderr();
     auto result = testutil::referenceSweep(model, screen, mappings, jobs);
     testing::internal::GetCapturedStderr();
-    Explorer::sortByTime(result.entries);
+    testutil::referenceRank(result.entries);
     if (result.entries.size() > k)
         result.entries.resize(k);
     return result.entries;

@@ -329,7 +329,7 @@ cmdExplore(const std::vector<std::string> &args)
     if (sweep.status != RunStatus::Completed)
         reportStop("explore", sweep.status, sweep.visitedPoints,
                    sweep.cancelledUnvisited);
-    explore::Explorer::sortByTime(sweep.entries);
+    explore::Explorer::sortByTime(sweep.entries, explorer.threads());
     const auto top =
         static_cast<std::size_t>(parser.getInt("top"));
     if (sweep.entries.size() > top)

@@ -7,17 +7,19 @@ Both arguments are perf_microbench binaries, one built at the base
 commit and one at HEAD.  Each side runs `BIN --sweep-bench-out FILE`
 ten times, in pairs that alternate which side runs first.  One run
 times the 1,008,000-point Case Study I sweep (the last element of the
-record's `runs` list) and, from record schema 3 on, `amped optimize`
-on the same grid (the median seconds in the record's `optimize`
-object).
+record's `runs` list), from record schema 4 on the ranking of its rows
+(the seconds in the record's `rank` object) and, from schema 3 on,
+`amped optimize` on the same grid (the median seconds in the record's
+`optimize` object).
 
-Each of the two timings fails the gate (exit 1) only when both hold:
+Each timing fails the gate (exit 1) only when both hold:
   - HEAD's median seconds exceed the base's by more than 25 %, the
     timing bound BENCHMARK.json sets for the repository benchmark;
   - HEAD is slower in at least 9 of the 10 pairs.
 Both sides run on the same machine in the same minutes, so host speed
-cancels out and no checked-in baseline is needed.  A base built before
-the optimize record existed gates the sweep alone, with a notice.
+cancels out and no checked-in baseline is needed.  A timing that a
+base built before its record existed lacks is left out, with a notice;
+the others are still gated.
 Exit 2 means a run failed or the command line was wrong.
 """
 
@@ -33,14 +35,20 @@ BOUND = 0.25
 MIN_SLOWER_PAIRS = 9
 
 
+# Gated timings, each with the record schema that added it.
+TIMINGS = {"sweep": 1, "rank": 4, "optimize": 3}
+
+
 def run_seconds(binary, record_path):
-    """Returns (sweep seconds, optimize seconds or None) of one run."""
+    """Returns {timing: seconds, or None when the record lacks it}."""
     subprocess.run([binary, "--sweep-bench-out", record_path], check=True)
     with open(record_path) as record:
         data = json.load(record)
-    optimize = data.get("optimize")
-    return (float(data["runs"][-1]["seconds"]),
-            float(optimize["seconds"]) if optimize else None)
+    seconds = {"sweep": float(data["runs"][-1]["seconds"])}
+    for name in ("rank", "optimize"):
+        found = data.get(name)
+        seconds[name] = float(found["seconds"]) if found else None
+    return seconds
 
 
 def gate(name, pairs):
@@ -65,8 +73,7 @@ def main(argv):
         print("usage: sweep_ab.py BASE_BIN HEAD_BIN", file=sys.stderr)
         return 2
     binaries = {"base": argv[1], "head": argv[2]}
-    sweeps = []
-    optimizes = []
+    pairs = {name: [] for name in TIMINGS}
     with tempfile.TemporaryDirectory() as scratch:
         record_path = os.path.join(scratch, "BENCH_sweep.json")
         for pair in range(PAIRS):
@@ -81,23 +88,25 @@ def main(argv):
                     print(f"sweep_ab: {side} run failed: {error}",
                           file=sys.stderr)
                     return 2
-            (base_sweep, base_opt) = seconds["base"]
-            (head_sweep, head_opt) = seconds["head"]
-            sweeps.append((base_sweep, head_sweep))
-            line = (f"pair {pair + 1} ({order[0]} first): sweep base "
-                    f"{base_sweep:.3f} s, head {head_sweep:.3f} s")
-            if base_opt is not None and head_opt is not None:
-                optimizes.append((base_opt, head_opt))
-                line += (f"; optimize base {base_opt:.3f} s, head "
-                         f"{head_opt:.3f} s")
-            print(line, flush=True)
+            parts = []
+            for name in TIMINGS:
+                base = seconds["base"][name]
+                head = seconds["head"][name]
+                if base is not None and head is not None:
+                    pairs[name].append((base, head))
+                    parts.append(f"{name} base {base:.3f} s, head "
+                                 f"{head:.3f} s")
+            print(f"pair {pair + 1} ({order[0]} first): "
+                  + "; ".join(parts), flush=True)
 
-    failed = gate("sweep", sweeps)
-    if len(optimizes) == PAIRS:
-        failed = gate("optimize", optimizes) or failed
-    else:
-        print("::notice::a record has no optimize timing (a build "
-              "older than record schema 3); the sweep alone is gated")
+    failed = False
+    for name, schema in TIMINGS.items():
+        if len(pairs[name]) == PAIRS:
+            failed = gate(name, pairs[name]) or failed
+        else:
+            print(f"::notice::a record has no {name} timing (a build "
+                  f"older than record schema {schema}); {name} is not "
+                  f"gated")
     if failed:
         return 1
     print("sweep_ab: pass")
