@@ -38,21 +38,12 @@
 namespace {
 
 using namespace amped;
-
-core::AmpedModel
-caseStudyModel()
-{
-    return core::AmpedModel(model::presets::megatron145B(),
-                            hw::presets::a100(),
-                            validate::calibrations::caseStudy1(),
-                            net::presets::a100Cluster1024(),
-                            validate::calibrations::caseStudyOptions());
-}
+using bench::caseStudyModel;
 
 void
 BM_EvaluateOneMapping(benchmark::State &state)
 {
-    const auto model = caseStudyModel();
+    const auto model = caseStudyModel(net::presets::a100Cluster1024());
     const auto mapping = mapping::makeMapping(8, 1, 1, 1, 2, 64);
     core::TrainingJob job;
     job.batchSize = 8192.0;
@@ -74,21 +65,7 @@ BM_EnumerateMappingSpace(benchmark::State &state)
 }
 BENCHMARK(BM_EnumerateMappingSpace);
 
-void
-BM_FullSweep360Mappings(benchmark::State &state)
-{
-    explore::Explorer explorer(caseStudyModel());
-    explorer.setThreads(1); // The serial baseline.
-    core::TrainingJob job;
-    job.batchSize = 8192.0;
-    job.totalTrainingTokens = 300e9;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(explorer.sweepAll({8192.0}, job));
-    }
-}
-BENCHMARK(BM_FullSweep360Mappings);
-
-/** The >= 200-point grid used by the parallel-sweep benchmarks. */
+/** The >= 200-point grid the golden mode sweeps. */
 const std::vector<double> &
 sweepBatches()
 {
@@ -96,73 +73,6 @@ sweepBatches()
                                                 8192.0, 16384.0};
     return batches;
 }
-
-/**
- * Parallel sweepAll at a fixed thread count (arg; 0 = AMPED_THREADS
- * or all cores).  Compare against BM_FullSweepParallel/1 for the
- * scaling curve.
- */
-void
-BM_FullSweepParallel(benchmark::State &state)
-{
-    explore::Explorer explorer(caseStudyModel());
-    explorer.setThreads(static_cast<unsigned>(state.range(0)));
-    core::TrainingJob job;
-    job.batchSize = 8192.0;
-    job.totalTrainingTokens = 300e9;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            explorer.sweepAll(sweepBatches(), job));
-    }
-}
-BENCHMARK(BM_FullSweepParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->UseRealTime();
-
-/**
- * Serial-vs-parallel sweep on the same grid in one benchmark; the
- * "speedup" counter is the headline number (expect ~min(cores,
- * threads)x on a multi-core host, 1x where AMPED_THREADS=1).
- */
-void
-BM_ParallelSweepSpeedup(benchmark::State &state)
-{
-    explore::Explorer serial(caseStudyModel());
-    serial.setThreads(1);
-    explore::Explorer parallel(caseStudyModel());
-    parallel.setThreads(0); // AMPED_THREADS or all cores.
-    core::TrainingJob job;
-    job.batchSize = 8192.0;
-    job.totalTrainingTokens = 300e9;
-
-    using clock = std::chrono::steady_clock;
-    double serial_seconds = 0.0;
-    double parallel_seconds = 0.0;
-    std::size_t points = 0;
-    for (auto _ : state) {
-        const auto t0 = clock::now();
-        const auto serial_sweep =
-            serial.sweepAll(sweepBatches(), job);
-        const auto t1 = clock::now();
-        const auto parallel_sweep =
-            parallel.sweepAll(sweepBatches(), job);
-        const auto t2 = clock::now();
-        benchmark::DoNotOptimize(&serial_sweep);
-        benchmark::DoNotOptimize(&parallel_sweep);
-        serial_seconds +=
-            std::chrono::duration<double>(t1 - t0).count();
-        parallel_seconds +=
-            std::chrono::duration<double>(t2 - t1).count();
-        points = serial_sweep.entries.size() + serial_sweep.skipped +
-                 serial_sweep.memorySkipped;
-    }
-    state.counters["points"] = static_cast<double>(points);
-    state.counters["threads"] =
-        static_cast<double>(ThreadPool::defaultThreadCount());
-    state.counters["speedup"] =
-        parallel_seconds > 0.0 ? serial_seconds / parallel_seconds
-                               : 0.0;
-}
-BENCHMARK(BM_ParallelSweepSpeedup)->UseRealTime();
 
 /** The 360-mapping space of the 1024-GPU case-study system. */
 const std::vector<mapping::ParallelismConfig> &
@@ -184,7 +94,8 @@ sweepGridMappings()
 void
 BM_SweepEngineThroughput(benchmark::State &state)
 {
-    explore::Explorer explorer(caseStudyModel());
+    explore::Explorer explorer(
+        caseStudyModel(net::presets::a100Cluster1024()));
     explorer.setThreads(static_cast<unsigned>(state.range(0)));
     static const std::vector<double> batches = [] {
         std::vector<double> b;
@@ -271,7 +182,7 @@ runGoldenMode(int argc, char **argv)
 {
     bench::GoldenOut golden(argc, argv);
 
-    const auto model = caseStudyModel();
+    const auto model = caseStudyModel(net::presets::a100Cluster1024());
     core::TrainingJob job;
     job.batchSize = 8192.0;
     job.totalTrainingTokens = 300e9;
@@ -286,7 +197,8 @@ runGoldenMode(int argc, char **argv)
     golden.add("perf/mapping_space/count",
                static_cast<double>(space.enumerate().size()));
 
-    explore::Explorer explorer(caseStudyModel());
+    explore::Explorer explorer(
+        caseStudyModel(net::presets::a100Cluster1024()));
     explorer.setThreads(1);
     const auto sweep = explorer.sweepAll(sweepBatches(), job);
     golden.add("perf/sweep/entries",
@@ -402,7 +314,8 @@ runSweepBenchMode(int argc, char **argv)
     job.batchSize = 8192.0;
     job.totalTrainingTokens = 300e9;
 
-    explore::Explorer explorer(caseStudyModel());
+    explore::Explorer explorer(
+        caseStudyModel(net::presets::a100Cluster1024()));
     explorer.setThreads(threads);
 
     const std::size_t points = mappings.size() * batches.size();
@@ -448,7 +361,8 @@ runSweepBenchMode(int argc, char **argv)
     rank.set("seconds", rank_seconds);
     sweep = explore::SweepResult(); // Free the rows before optimizing.
 
-    explore::Optimizer optimizer(caseStudyModel());
+    explore::Optimizer optimizer(
+        caseStudyModel(net::presets::a100Cluster1024()));
     optimizer.setThreads(threads);
     optimizer.setMemoryModel(core::MemoryModel(
         model::OpCounter(model::presets::megatron145B()),

@@ -87,13 +87,11 @@ main(int argc, char **argv)
 
         std::cout << "exploring " << model_cfg.name << " on "
                   << system.name << ", batch " << batch << " ...\n";
-        auto sweep = explorer.sweepAll({batch}, job);
-        std::cout << sweep.entries.size() << " feasible mappings, "
+        const auto ranked = explorer.sweepTop({batch}, job, top_k);
+        const auto &sweep = ranked.sweep;
+        std::cout << ranked.ranked << " feasible mappings, "
                   << sweep.skipped << " skipped (batch too small)\n\n";
 
-        explore::Explorer::sortByTime(sweep.entries, explorer.threads());
-        if (sweep.entries.size() > top_k)
-            sweep.entries.resize(top_k);
         std::cout << "top " << sweep.entries.size()
                   << " mappings by training time:\n"
                   << explore::sweepTable(sweep.entries) << '\n';

@@ -112,6 +112,20 @@ Explorer::sweepAll(const std::vector<double> &batch_sizes,
     return sweep(space.enumerate(max_pp), batch_sizes, job_template);
 }
 
+RankedSweep
+Explorer::sweepTop(const std::vector<double> &batch_sizes,
+                   const core::TrainingJob &job_template,
+                   std::size_t top) const
+{
+    RankedSweep out{sweepAll(batch_sizes, job_template), 0};
+    auto &entries = out.sweep.entries;
+    out.ranked = entries.size();
+    sortByTime(entries, threads_);
+    if (entries.size() > top)
+        entries.resize(top);
+    return out;
+}
+
 std::optional<SweepEntry>
 Explorer::best(const SweepResult &sweep_result)
 {

@@ -80,6 +80,21 @@ struct SweepResult
     std::size_t cancelledUnvisited = 0;
 };
 
+/** Explorer::sweepTop's answer: a sweep ranked and cut to its best
+ *  entries. */
+struct RankedSweep
+{
+    /** The sweep.  Its entries are the first `top` of the ranking;
+     *  its counters and status cover every visited grid point. */
+    SweepResult sweep;
+
+    /** Entries in the whole ranking, before the cut. */
+    std::size_t ranked = 0;
+
+    /** True when the cut dropped entries. */
+    bool cut() const { return ranked > sweep.entries.size(); }
+};
+
 /**
  * Evaluates mapping/batch sweeps against one model instance.
  */
@@ -124,6 +139,16 @@ class Explorer
      */
     SweepResult sweepAll(const std::vector<double> &batch_sizes,
                          const core::TrainingJob &job_template) const;
+
+    /**
+     * The ranked answer to "which mappings are fastest": sweepAll,
+     * ranked by sortByTime on this Explorer's threads(), and cut to
+     * its first @p top entries.  A stopped sweep ranks the prefix it
+     * visited.
+     */
+    RankedSweep sweepTop(const std::vector<double> &batch_sizes,
+                         const core::TrainingJob &job_template,
+                         std::size_t top) const;
 
     /**
      * Caps sweep parallelism.  0 (the default) uses AMPED_THREADS

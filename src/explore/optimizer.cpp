@@ -360,7 +360,7 @@ Optimizer::optimizeOver(
     // Max-heap of the k best candidates; the root is the current
     // k-th best key.  The prune threshold is refreshed per wave.
     std::vector<Candidate> heap;
-    heap.reserve(request.topK + 1);
+    heap.reserve(std::min(request.topK, count) + 1);
     const auto heap_cmp = [](const Candidate &a, const Candidate &b) {
         return ranksBefore(a, b); // push_heap keeps the worst on top
     };

@@ -16,8 +16,11 @@
  *                running — Deadline::after's zero-budget semantics,
  *                useful for deterministic admission tests); negative
  *                values are rejected.
- *   params       optional object (default empty); unknown keys are
- *                rejected with the offending key named.
+ *   params       optional object (default empty).  Its keys, their
+ *                kinds, defaults and ranges, and which method reads
+ *                which key come from the field table in
+ *                serve/request.cpp (the CLI's options use the same
+ *                table); an unknown key is rejected by name.
  *
  * A top-level JSON *array* of request objects is a pipelined burst:
  * every element is submitted to the admission queue before any runs,
@@ -94,8 +97,8 @@ struct Request
      *  the server default), 0 = already expired. */
     double deadlineMs = -1.0;
 
-    /** Method parameters (always an object; defaults applied by the
-     *  dispatcher). */
+    /** Method parameters (always an object; read, with defaults,
+     *  through serve::Params). */
     obs::Json params = obs::Json::object();
 };
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <istream>
 #include <ostream>
-#include <set>
-#include <sstream>
 #include <vector>
 
 #include <netinet/in.h>
@@ -16,273 +13,13 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "core/amped_model.hpp"
-#include "core/memory_model.hpp"
-#include "explore/config_io.hpp"
-#include "explore/explorer.hpp"
-#include "explore/optimizer.hpp"
-#include "explore/registry.hpp"
 #include "obs/run_report.hpp"
-#include "validate/calibrations.hpp"
+#include "serve/request.hpp"
 
 namespace amped {
 namespace serve {
 
 namespace {
-
-/**
- * Typed reader over a request's params object: unknown keys are
- * rejected up front and every diagnostic names the offending field
- * as `params.<key>` so clients can fix the exact input.
- */
-class Params
-{
-  public:
-    Params(const obs::Json &object,
-           const std::set<std::string> &allowed)
-        : object_(object)
-    {
-        for (const auto &member : object_.members())
-            require(allowed.count(member.first) != 0,
-                    "unknown params key '", member.first, "'");
-    }
-
-    bool has(const std::string &key) const
-    {
-        return object_.contains(key);
-    }
-
-    const obs::Json &raw(const std::string &key) const
-    {
-        return object_.at(key);
-    }
-
-    std::string
-    str(const std::string &key, const std::string &fallback) const
-    {
-        if (!has(key))
-            return fallback;
-        require(raw(key).kind() == obs::Json::Kind::string,
-                "params.", key, " must be a string");
-        return raw(key).asString();
-    }
-
-    double
-    number(const std::string &key, double fallback) const
-    {
-        if (!has(key))
-            return fallback;
-        const auto kind = raw(key).kind();
-        require(kind == obs::Json::Kind::number ||
-                    kind == obs::Json::Kind::integer,
-                "params.", key, " must be a number");
-        return raw(key).asDouble();
-    }
-
-    std::int64_t
-    integer(const std::string &key, std::int64_t fallback) const
-    {
-        if (!has(key))
-            return fallback;
-        require(raw(key).kind() == obs::Json::Kind::integer,
-                "params.", key, " must be an integer");
-        return raw(key).asInt();
-    }
-
-    bool
-    boolean(const std::string &key, bool fallback) const
-    {
-        if (!has(key))
-            return fallback;
-        require(raw(key).kind() == obs::Json::Kind::boolean,
-                "params.", key, " must be a boolean");
-        return raw(key).asBool();
-    }
-
-    /** Positive-number array ("batches": [64, 128]). */
-    std::vector<double>
-    numberList(const std::string &key) const
-    {
-        require(raw(key).isArray(), "params.", key,
-                " must be an array of numbers");
-        std::vector<double> values;
-        for (std::size_t i = 0; i < raw(key).items().size(); ++i) {
-            const auto &item = raw(key).at(i);
-            const auto kind = item.kind();
-            require(kind == obs::Json::Kind::number ||
-                        kind == obs::Json::Kind::integer,
-                    "params.", key, "[", i, "] must be a number");
-            const double value = item.asDouble();
-            require(std::isfinite(value) && value > 0.0, "params.",
-                    key, "[", i, "] must be > 0");
-            values.push_back(value);
-        }
-        require(!values.empty(), "params.", key,
-                " must not be empty");
-        return values;
-    }
-
-  private:
-    const obs::Json &object_;
-};
-
-/** Param keys understood by every evaluating method. */
-const std::set<std::string> &
-commonKeys()
-{
-    static const std::set<std::string> keys{
-        "model",  "accel",      "intra",     "inter",
-        "nodes",  "per-node",   "nics",      "batch",
-        "tokens", "microbatch", "eff-a",     "eff-b",
-        "eff-floor", "bubble-r", "system"};
-    return keys;
-}
-
-std::set<std::string>
-withKeys(std::initializer_list<const char *> extra)
-{
-    std::set<std::string> keys = commonKeys();
-    for (const char *key : extra)
-        keys.insert(key);
-    return keys;
-}
-
-const std::set<std::string> &
-mappingKeys()
-{
-    static const std::set<std::string> keys{
-        "tp-intra", "pp-intra", "dp-intra",
-        "tp-inter", "pp-inter", "dp-inter"};
-    return keys;
-}
-
-std::set<std::string>
-withMappingKeys(std::initializer_list<const char *> extra)
-{
-    std::set<std::string> keys = withKeys(extra);
-    keys.insert(mappingKeys().begin(), mappingKeys().end());
-    return keys;
-}
-
-/**
- * Builds a SystemConfig from a "system" params sub-object by
- * rendering it as a key = value document and reusing the config_io
- * loader — so its field-named diagnostics (unknown keys, range
- * checks) flow through to the response verbatim.
- */
-net::SystemConfig
-systemFromJson(const obs::Json &system)
-{
-    require(system.isObject(), "params.system must be an object");
-    std::ostringstream text;
-    text.precision(17);
-    for (const auto &[key, value] : system.members()) {
-        switch (value.kind()) {
-          case obs::Json::Kind::string:
-            text << key << " = " << value.asString() << "\n";
-            break;
-          case obs::Json::Kind::boolean:
-            text << key << " = " << (value.asBool() ? 1 : 0) << "\n";
-            break;
-          case obs::Json::Kind::integer:
-          case obs::Json::Kind::number:
-            text << key << " = " << value.dump() << "\n";
-            break;
-          default:
-            throw UserError("params.system." + key +
-                            " must be a scalar");
-        }
-    }
-    try {
-        return explore::systemFromConfig(
-            KeyValueConfig::fromString(text.str()));
-    } catch (const UserError &error) {
-        throw UserError(std::string("params.system: ") +
-                        error.what());
-    }
-}
-
-net::SystemConfig
-systemFromParams(const Params &params)
-{
-    if (params.has("system"))
-        return systemFromJson(params.raw("system"));
-    net::SystemConfig sys;
-    sys.numNodes = params.integer("nodes", 128);
-    sys.acceleratorsPerNode = params.integer("per-node", 8);
-    sys.intraLink = explore::interconnectByName(
-        params.str("intra", "nvlink-a100"));
-    sys.interLink =
-        explore::interconnectByName(params.str("inter", "hdr"));
-    const std::int64_t nics = params.integer("nics", 0);
-    sys.nicsPerNode = nics > 0 ? nics : sys.acceleratorsPerNode;
-    sys.name = std::to_string(sys.numNodes) + "x" +
-               std::to_string(sys.acceleratorsPerNode) + " " +
-               params.str("accel", "a100") + " / " +
-               params.str("inter", "hdr");
-    sys.validate();
-    return sys;
-}
-
-core::AmpedModel
-modelFromParams(const Params &params)
-{
-    const auto model_cfg =
-        explore::modelByName(params.str("model", "145b"));
-    const auto accel =
-        explore::acceleratorByName(params.str("accel", "a100"));
-    const auto system = systemFromParams(params);
-    core::ModelOptions options = validate::calibrations::
-        nvswitchOptions(system.acceleratorsPerNode);
-    options.bubbleOverlapRatio = params.number("bubble-r", 0.1);
-    const double a = params.number("eff-a", 0.9);
-    const double floor =
-        std::min(params.number("eff-floor", 0.25), a);
-    return core::AmpedModel(
-        model_cfg, accel,
-        hw::MicrobatchEfficiency(a, params.number("eff-b", 30.0),
-                                 floor),
-        system, options);
-}
-
-core::TrainingJob
-jobFromParams(const Params &params)
-{
-    core::TrainingJob job;
-    job.batchSize = params.number("batch", 8192.0);
-    job.totalTrainingTokens = params.number("tokens", 300e9);
-    const double ub = params.number("microbatch", 0.0);
-    if (ub > 0.0)
-        job.microbatching.microbatchSizeOverride = ub;
-    return job;
-}
-
-mapping::ParallelismConfig
-mappingFromParams(const Params &params)
-{
-    return mapping::makeMapping(params.integer("tp-intra", 1),
-                                params.integer("pp-intra", 1),
-                                params.integer("dp-intra", 1),
-                                params.integer("tp-inter", 1),
-                                params.integer("pp-inter", 1),
-                                params.integer("dp-inter", 1));
-}
-
-core::MemoryModel
-memoryModelFor(const core::AmpedModel &model)
-{
-    return core::MemoryModel(
-        model::OpCounter(model.opCounter().config()),
-        model.accelerator());
-}
-
-std::vector<double>
-batchesFromParams(const Params &params)
-{
-    if (params.has("batches"))
-        return params.numberList("batches");
-    return {params.number("batch", 8192.0)};
-}
 
 obs::Json
 entryJson(const explore::SweepEntry &entry)
@@ -528,10 +265,10 @@ Server::deadlineFor(const Request &request) const
 obs::Json
 Server::runRequest(const Request &request, const CancelToken &token)
 {
+    const Params params(request.params, methodFields(request.method),
+                        "params.");
     switch (request.method) {
       case Method::ping: {
-        Params params(request.params, {});
-        (void)params;
         obs::Json result = obs::Json::object();
         result.set("pong", true);
         return okResponse(request.id, RunStatus::Completed,
@@ -539,23 +276,20 @@ Server::runRequest(const Request &request, const CancelToken &token)
       }
 
       case Method::eval: {
-        Params params(request.params, withMappingKeys({}));
-        const auto model = modelFromParams(params);
-        const auto evaluation = model.evaluate(
-            mappingFromParams(params), jobFromParams(params));
+        const auto model = modelFrom(params);
+        const auto job = jobFrom(params);
+        const auto mapping = mappingFrom(params);
+        const auto evaluation = model.evaluate(mapping, job);
         obs::Json result = obs::Json::object();
-        result.set("mapping",
-                   mappingFromParams(params).toString());
+        result.set("mapping", mapping.toString());
         result.set("analytical", obs::analyticalJson(evaluation));
         return okResponse(request.id, RunStatus::Completed,
                           /*cached=*/false, std::move(result));
       }
 
       case Method::sweep: {
-        Params params(request.params,
-                      withKeys({"batches", "top", "memory-check"}));
         const auto top = static_cast<std::size_t>(
-            params.integer("top", 10));
+            params.integer(FieldId::sweepTop));
         // Keyed without "top": one cached ranking answers every top
         // it covers (SweepCacheLru), cut to the first `top` entries.
         const std::string key =
@@ -566,25 +300,9 @@ Server::runRequest(const Request &request, const CancelToken &token)
                               firstEntries(obs::Json::parse(*hit),
                                            top));
         }
-        const auto model = modelFromParams(params);
-        const auto batches = batchesFromParams(params);
-        explore::preflightGridPoints(
-            model.system(),
-            model.opCounter().config().numLayers, batches.size(),
-            options_.maxGridPoints);
-
-        explore::Explorer explorer(model);
-        explorer.setThreads(options_.threads);
-        explorer.setCancelToken(token);
-        if (params.boolean("memory-check", false))
-            explorer.setMemoryModel(
-                memoryModelFor(model));
-        auto sweep = explorer.sweepAll(batches,
-                                       jobFromParams(params));
-        explore::Explorer::sortByTime(sweep.entries, explorer.threads());
-        const bool whole_ranking = sweep.entries.size() <= top;
-        if (!whole_ranking)
-            sweep.entries.resize(top);
+        const auto ranked = runSweep(params, {}, options_.threads,
+                                     token, options_.maxGridPoints);
+        const auto &sweep = ranked.sweep;
 
         obs::Json result = obs::Json::object();
         result.set("entries", entriesJson(sweep.entries));
@@ -601,15 +319,12 @@ Server::runRequest(const Request &request, const CancelToken &token)
                        sweep.cancelledUnvisited));
         if (sweep.status == RunStatus::Completed)
             cache_.put(key, result.dump(),
-                       whole_ranking ? SweepCacheLru::kAnyTop : top);
+                       ranked.cut() ? top : SweepCacheLru::kAnyTop);
         return okResponse(request.id, sweep.status,
                           /*cached=*/false, std::move(result));
       }
 
       case Method::optimize: {
-        Params params(request.params,
-                      withKeys({"batches", "top", "ep",
-                                "memory-check"}));
         const std::string key = cacheKey(request.method,
                                          request.params);
         if (const auto hit = cache_.get(key)) {
@@ -617,27 +332,8 @@ Server::runRequest(const Request &request, const CancelToken &token)
                               /*cached=*/true,
                               obs::Json::parse(*hit));
         }
-        const auto model = modelFromParams(params);
-        const auto batches = batchesFromParams(params);
-        explore::preflightGridPoints(
-            model.system(),
-            model.opCounter().config().numLayers, batches.size(),
-            options_.maxGridPoints);
-
-        explore::Optimizer optimizer(model);
-        optimizer.setThreads(options_.threads);
-        optimizer.setCancelToken(token);
-        if (params.boolean("memory-check", false))
-            optimizer.setMemoryModel(
-                memoryModelFor(model));
-
-        explore::OptimizerRequest search;
-        search.batchSizes = batches;
-        search.jobTemplate = jobFromParams(params);
-        search.topK =
-            static_cast<std::size_t>(params.integer("top", 5));
-        search.expertParallel = params.integer("ep", 1);
-        const auto outcome = optimizer.optimize(search);
+        const auto outcome = runOptimize(params, {}, options_.threads,
+                                         token, options_.maxGridPoints);
 
         const auto &c = outcome.counters;
         obs::Json counters = obs::Json::object();
@@ -666,11 +362,10 @@ Server::runRequest(const Request &request, const CancelToken &token)
       }
 
       case Method::report: {
-        Params params(request.params,
-                      withMappingKeys({"artifact"}));
-        const auto model = modelFromParams(params);
-        const auto evaluation = model.evaluate(
-            mappingFromParams(params), jobFromParams(params));
+        const auto model = modelFrom(params);
+        const auto job = jobFrom(params);
+        const auto evaluation =
+            model.evaluate(mappingFrom(params), job);
 
         obs::Json config_echo = obs::Json::object();
         config_echo.set("method", toString(request.method));
@@ -682,8 +377,8 @@ Server::runRequest(const Request &request, const CancelToken &token)
             .setMetrics(registry_);
 
         obs::Json result = obs::Json::object();
-        if (params.has("artifact")) {
-            const std::string name = params.str("artifact", "");
+        if (params.has(FieldId::artifact)) {
+            const std::string name = params.text(FieldId::artifact);
             require(!options_.reportDir.empty(),
                     "params.artifact: the server has no report-dir "
                     "configured");

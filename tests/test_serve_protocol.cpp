@@ -104,6 +104,9 @@ struct BadInputCase
     bool idIsNull;        ///< True when the id cannot be echoed.
 };
 
+#define TINY_CLUSTER \
+    "\"model\":\"tiny\",\"accel\":\"tiny\",\"nodes\":2,\"per-node\":4"
+
 const BadInputCase kBadInputs[] = {
     {"malformed-json", "{\"id\":1,\"method\":", "error",
      "json", true},
@@ -131,6 +134,9 @@ const BadInputCase kBadInputs[] = {
     {"unknown-params-key",
      "{\"id\":6,\"method\":\"eval\",\"params\":{\"warp\":9}}",
      "error", "unknown params key 'warp'", false},
+    {"params-wrong-kind",
+     "{\"id\":6,\"method\":\"eval\",\"params\":{\"nodes\":\"x\"}}",
+     "error", "params.nodes must be an integer", false},
     {"params-not-object",
      "{\"id\":6,\"method\":\"eval\",\"params\":7}", "error",
      "'params' must be a JSON object", false},
@@ -141,7 +147,60 @@ const BadInputCase kBadInputs[] = {
     {"expired-deadline",
      "{\"id\":7,\"method\":\"sweep\",\"deadline_ms\":0}", "expired",
      "deadline expired before the request ran", false},
+    // Range column of the field table: each value is a request error
+    // naming the field, not an abort, a whole ranking or an answer
+    // with every point skipped.
+    {"sweep-top-minus-2",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":-2}}",
+     "error", "params.top must be >= 1, got -2", false},
+    {"sweep-top-0",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":0}}",
+     "error", "params.top must be >= 1, got 0", false},
+    {"sweep-top-minus-1",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":-1}}",
+     "error", "params.top must be >= 1, got -1", false},
+    {"sweep-tokens-minus-1",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tokens\":-1}}",
+     "error", "params.tokens must be > 0, got -1", false},
+    {"sweep-batch-minus-64",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":-64}}",
+     "error", "params.batch must be > 0, got -64", false},
+    {"sweep-microbatch-minus-3",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"microbatch\":-3}}",
+     "error", "params.microbatch must be >= 0, got -3", false},
+    {"optimize-top-minus-2",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":-2}}",
+     "error", "params.top must be >= 1, got -2", false},
+    {"optimize-top-0",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":0}}",
+     "error", "params.top must be >= 1, got 0", false},
+    {"optimize-top-minus-1",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"top\":-1}}",
+     "error", "params.top must be >= 1, got -1", false},
+    {"optimize-tokens-minus-1",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tokens\":-1}}",
+     "error", "params.tokens must be > 0, got -1", false},
+    {"optimize-batch-minus-64",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":-64}}",
+     "error", "params.batch must be > 0, got -64", false},
+    {"optimize-microbatch-minus-3",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"microbatch\":-3}}",
+     "error", "params.microbatch must be >= 0, got -3", false},
 };
+
+#undef TINY_CLUSTER
 
 TEST(ServeProtocolTest, BadInputsReturnStructuredErrors)
 {

@@ -5,6 +5,7 @@
  * Subcommands:
  *   evaluate   predict training time/throughput for one mapping
  *   explore    rank every valid mapping of a cluster
+ *   optimize   branch-and-bound search for the fastest mappings
  *   breakdown  per-phase time split for one mapping (Fig. 3 view)
  *   memory     per-device memory footprint and ZeRO comparison
  *   scale      strong-scaling sweep: best mapping per node count
@@ -18,9 +19,12 @@
  *              loopback TCP socket; see serve/protocol.hpp)
  *   presets    list the built-in model/accelerator/interconnect names
  *
- * Custom hardware/models load from key = value files via
- * --model-file / --accel-file / --system-file (see
- * explore/config_io.hpp for the schemas).
+ * The request options (model, cluster, job, mapping, top, ...), their
+ * defaults, help texts and ranges come from the field table in
+ * serve/request.cpp, which `amped serve` reads too.  Custom
+ * hardware/models load from key = value files via --model-file /
+ * --accel-file / --system-file (see explore/config_io.hpp for the
+ * schemas).
  *
  * Examples:
  *   amped evaluate --model gpt3 --batch 1536 --nodes 128 \
@@ -56,6 +60,7 @@
 #include "net/system_config.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/run_report.hpp"
+#include "serve/request.hpp"
 #include "serve/server.hpp"
 #include "sim/training_sim.hpp"
 #include "validate/calibrations.hpp"
@@ -145,137 +150,70 @@ reportStop(const char *what, RunStatus status, std::size_t visited,
                  "deterministic and valid\n";
 }
 
-/** Options shared by every subcommand. */
-void
-addCommonOptions(ArgParser &parser)
+/**
+ * A subcommand's options: its request fields from the shared table
+ * (serve/request.hpp) plus the CLI-only file and thread options.  A
+ * subcommand adds its own options to `parser`, then calls parse().
+ */
+struct RequestFlags
 {
-    parser.addOption("model", "model preset name", "145b");
-    parser.addOption("model-file",
-                     "model config file (overrides --model)", "");
-    parser.addOption("accel", "accelerator preset name", "a100");
-    parser.addOption("accel-file",
-                     "accelerator config file (overrides --accel)",
-                     "");
-    parser.addOption("system-file",
-                     "system config file (overrides the cluster "
-                     "options)", "");
-    parser.addOption("intra", "intra-node interconnect preset",
-                     "nvlink-a100");
-    parser.addOption("inter", "inter-node interconnect preset",
-                     "hdr");
-    parser.addOption("nodes", "number of nodes", "128");
-    parser.addOption("per-node", "accelerators per node", "8");
-    parser.addOption("nics", "NICs per node (0 = one per "
-                             "accelerator)", "0");
-    parser.addOption("batch", "global batch size", "8192");
-    parser.addOption("tokens", "training-token budget", "300e9");
-    parser.addOption("eff-a", "efficiency curve parameter a", "0.9");
-    parser.addOption("eff-b", "efficiency curve parameter b", "30");
-    parser.addOption("eff-floor", "efficiency floor", "0.25");
-    parser.addOption("bubble-r", "bubble-overlap ratio R", "0.1");
-    parser.addOption("microbatch",
-                     "microbatch size (0 = B/(DP*PP))", "0");
-    parser.addOption("threads",
-                     "sweep worker threads (0 = AMPED_THREADS env "
-                     "or all cores, 1 = serial)", "0");
-}
+    explicit RequestFlags(serve::FieldSet request_fields)
+        : fields(request_fields)
+    {
+        serve::addFieldOptions(parser, fields);
+        parser.addOption("model-file",
+                         "model config file (overrides --model)", "");
+        parser.addOption("accel-file",
+                         "accelerator config file (overrides --accel)",
+                         "");
+        parser.addOption("system-file",
+                         "system config file (overrides the cluster "
+                         "options)", "");
+        parser.addOption("threads",
+                         "sweep worker threads (0 = AMPED_THREADS env "
+                         "or all cores, 1 = serial)", "0");
+    }
 
-void
-addMappingOptions(ArgParser &parser)
-{
-    parser.addOption("tp-intra", "tensor parallel, intra-node", "1");
-    parser.addOption("pp-intra", "pipeline parallel, intra-node", "1");
-    parser.addOption("dp-intra", "data parallel, intra-node", "1");
-    parser.addOption("tp-inter", "tensor parallel, inter-node", "1");
-    parser.addOption("pp-inter", "pipeline parallel, inter-node", "1");
-    parser.addOption("dp-inter", "data parallel, inter-node", "1");
-}
+    /** Parses @p args; the returned reader refers to `params`. */
+    serve::Params parse(const std::vector<std::string> &args)
+    {
+        parser.parse(args);
+        params = serve::paramsFromFlags(parser, fields);
+        return serve::Params(params, fields, "--");
+    }
 
-model::TransformerConfig
-modelConfigFrom(const ArgParser &parser)
-{
-    if (!parser.get("model-file").empty())
-        return explore::modelFromFile(parser.get("model-file"));
-    return explore::modelByName(parser.get("model"));
-}
+    /** The configs the three file options name. */
+    serve::Overrides files() const
+    {
+        serve::Overrides files;
+        if (!parser.get("model-file").empty())
+            files.model = explore::modelFromFile(parser.get("model-file"));
+        if (!parser.get("accel-file").empty())
+            files.accelerator =
+                explore::acceleratorFromFile(parser.get("accel-file"));
+        if (!parser.get("system-file").empty())
+            files.system =
+                explore::systemFromFile(parser.get("system-file"));
+        return files;
+    }
 
-hw::AcceleratorConfig
-acceleratorConfigFrom(const ArgParser &parser)
-{
-    if (!parser.get("accel-file").empty())
-        return explore::acceleratorFromFile(parser.get("accel-file"));
-    return explore::acceleratorByName(parser.get("accel"));
-}
-
-net::SystemConfig
-systemFrom(const ArgParser &parser)
-{
-    if (!parser.get("system-file").empty())
-        return explore::systemFromFile(parser.get("system-file"));
-    net::SystemConfig sys;
-    sys.numNodes = parser.getInt("nodes");
-    sys.acceleratorsPerNode = parser.getInt("per-node");
-    sys.intraLink = explore::interconnectByName(parser.get("intra"));
-    sys.interLink = explore::interconnectByName(parser.get("inter"));
-    const std::int64_t nics = parser.getInt("nics");
-    sys.nicsPerNode = nics > 0 ? nics : sys.acceleratorsPerNode;
-    sys.name = std::to_string(sys.numNodes) + "x" +
-               std::to_string(sys.acceleratorsPerNode) + " " +
-               parser.get("accel") + " / " + parser.get("inter");
-    sys.validate();
-    return sys;
-}
-
-core::AmpedModel
-modelFrom(const ArgParser &parser)
-{
-    core::ModelOptions options = validate::calibrations::
-        nvswitchOptions(parser.getInt("per-node"));
-    options.bubbleOverlapRatio = parser.getDouble("bubble-r");
-    const double a = parser.getDouble("eff-a");
-    const double floor =
-        std::min(parser.getDouble("eff-floor"), a);
-    return core::AmpedModel(
-        modelConfigFrom(parser), acceleratorConfigFrom(parser),
-        hw::MicrobatchEfficiency(a, parser.getDouble("eff-b"), floor),
-        systemFrom(parser), options);
-}
-
-core::TrainingJob
-jobFrom(const ArgParser &parser)
-{
-    core::TrainingJob job;
-    job.batchSize = parser.getDouble("batch");
-    job.totalTrainingTokens = parser.getDouble("tokens");
-    const double ub = parser.getDouble("microbatch");
-    if (ub > 0.0)
-        job.microbatching.microbatchSizeOverride = ub;
-    return job;
-}
-
-mapping::ParallelismConfig
-mappingFrom(const ArgParser &parser)
-{
-    return mapping::makeMapping(
-        parser.getInt("tp-intra"), parser.getInt("pp-intra"),
-        parser.getInt("dp-intra"), parser.getInt("tp-inter"),
-        parser.getInt("pp-inter"), parser.getInt("dp-inter"));
-}
+    ArgParser parser;
+    serve::FieldSet fields;
+    obs::Json params;
+};
 
 int
 cmdEvaluate(const std::vector<std::string> &args, bool breakdown)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
-    addMappingOptions(parser);
-    parser.parse(args);
+    RequestFlags flags(serve::kOneMappingFields);
+    const auto params = flags.parse(args);
 
-    const auto model = modelFrom(parser);
-    const auto result =
-        model.evaluate(mappingFrom(parser), jobFrom(parser));
+    const auto model = serve::modelFrom(params, flags.files());
+    const auto job = serve::jobFrom(params);
+    const auto mapping = serve::mappingFrom(params);
+    const auto result = model.evaluate(mapping, job);
 
-    std::cout << "mapping:        "
-              << mappingFrom(parser).toString() << "\n"
+    std::cout << "mapping:        " << mapping.toString() << "\n"
               << "microbatch:     " << result.microbatchSize
               << " (eff "
               << units::formatFixed(result.efficiency, 3) << ")\n"
@@ -297,47 +235,28 @@ cmdEvaluate(const std::vector<std::string> &args, bool breakdown)
 int
 cmdExplore(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
+    RequestFlags flags(serve::kExploreFields);
+    ArgParser &parser = flags.parser;
     addDeadlineOption(parser);
-    parser.addOption("top", "how many mappings to print", "10");
     parser.addOption("max-grid-points",
                      "reject sweeps whose mapping x batch grid "
                      "exceeds this many points (0 = unlimited)", "0");
-    parser.addFlag("memory-check",
-                   "drop mappings that exceed device memory");
     parser.addFlag("csv", "emit CSV instead of an aligned table");
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
-    const auto model = modelFrom(parser);
-    explore::preflightGridPoints(
-        model.system(), model.opCounter().config().numLayers,
-        /*num_jobs=*/1,
+    const auto ranked = serve::runSweep(
+        params, flags.files(),
+        static_cast<unsigned>(parser.getInt("threads")),
+        tokenFrom(parser),
         static_cast<std::size_t>(parser.getInt("max-grid-points")));
-
-    explore::Explorer explorer(model);
-    explorer.setThreads(
-        static_cast<unsigned>(parser.getInt("threads")));
-    explorer.setCancelToken(tokenFrom(parser));
-    if (parser.getFlag("memory-check")) {
-        explorer.setMemoryModel(core::MemoryModel(
-            model::OpCounter(modelConfigFrom(parser)),
-            acceleratorConfigFrom(parser)));
-    }
-    auto sweep = explorer.sweepAll({parser.getDouble("batch")},
-                                   jobFrom(parser));
+    const auto &sweep = ranked.sweep;
     if (sweep.status != RunStatus::Completed)
         reportStop("explore", sweep.status, sweep.visitedPoints,
                    sweep.cancelledUnvisited);
-    explore::Explorer::sortByTime(sweep.entries, explorer.threads());
-    const auto top =
-        static_cast<std::size_t>(parser.getInt("top"));
-    if (sweep.entries.size() > top)
-        sweep.entries.resize(top);
 
     std::cerr << sweep.entries.size() << " mappings shown; skipped "
               << sweep.skipped << " infeasible";
-    if (parser.getFlag("memory-check"))
+    if (params.flag(serve::FieldId::sweepMemoryCheck))
         std::cerr << ", " << sweep.memorySkipped << " over memory";
     std::cerr << "\n";
     if (parser.getFlag("csv"))
@@ -349,83 +268,23 @@ cmdExplore(const std::vector<std::string> &args)
     return 0;
 }
 
-/** Parses a comma-separated batch list ("2048,4096,8192"). */
-std::vector<double>
-batchListFrom(const ArgParser &parser)
-{
-    const std::string list = parser.get("batches");
-    if (list.empty())
-        return {parser.getDouble("batch")};
-    std::vector<double> batches;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string token = list.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        try {
-            std::size_t used = 0;
-            const double value = std::stod(token, &used);
-            require(used == token.size() && value > 0.0,
-                    "--batches entry '", token,
-                    "' is not a positive number");
-            batches.push_back(value);
-        } catch (const UserError &) {
-            throw;
-        } catch (const std::exception &) {
-            throw UserError("--batches entry '" + token +
-                            "' is not a positive number");
-        }
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return batches;
-}
-
 int
 cmdOptimize(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
+    RequestFlags flags(serve::kOptimizeFields);
+    ArgParser &parser = flags.parser;
     addDeadlineOption(parser);
-    parser.addOption("top", "how many strategies to return", "5");
-    parser.addOption("batches",
-                     "comma-separated batch sizes to search "
-                     "(empty = just --batch)", "");
-    parser.addOption("ep", "expert-parallel degree N_EP", "1");
     parser.addOption("max-grid-points",
                      "reject searches whose mapping x batch grid "
                      "exceeds this many points (0 = unlimited)", "0");
-    parser.addFlag("memory-check",
-                   "prune mappings that exceed device memory");
     parser.addFlag("csv", "emit CSV instead of an aligned table");
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
-    const auto model = modelFrom(parser);
-    const auto batches = batchListFrom(parser);
-    explore::preflightGridPoints(
-        model.system(), model.opCounter().config().numLayers,
-        batches.size(),
+    const auto result = serve::runOptimize(
+        params, flags.files(),
+        static_cast<unsigned>(parser.getInt("threads")),
+        tokenFrom(parser),
         static_cast<std::size_t>(parser.getInt("max-grid-points")));
-
-    explore::Optimizer optimizer(model);
-    optimizer.setThreads(
-        static_cast<unsigned>(parser.getInt("threads")));
-    optimizer.setCancelToken(tokenFrom(parser));
-    if (parser.getFlag("memory-check")) {
-        optimizer.setMemoryModel(core::MemoryModel(
-            model::OpCounter(modelConfigFrom(parser)),
-            acceleratorConfigFrom(parser)));
-    }
-
-    explore::OptimizerRequest request;
-    request.batchSizes = batches;
-    request.jobTemplate = jobFrom(parser);
-    request.topK =
-        static_cast<std::size_t>(parser.getInt("top"));
-    request.expertParallel = parser.getInt("ep");
-    const auto result = optimizer.optimize(request);
 
     const auto &c = result.counters;
     if (result.status != RunStatus::Completed)
@@ -450,16 +309,15 @@ cmdOptimize(const std::vector<std::string> &args)
 int
 cmdMemory(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
-    addMappingOptions(parser);
+    RequestFlags flags(serve::kOneMappingFields);
+    ArgParser &parser = flags.parser;
     parser.addOption("zero", "ZeRO stage (0-3)", "0");
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
-    const auto model_cfg = modelConfigFrom(parser);
-    const auto accel = acceleratorConfigFrom(parser);
-    const auto m = mappingFrom(parser);
-    const auto job = jobFrom(parser);
+    const auto model = serve::modelFrom(params, flags.files());
+    const auto &accel = model.accelerator();
+    const auto m = serve::mappingFrom(params);
+    const auto job = serve::jobFrom(params);
     const double ub = job.microbatching.microbatchSize(
         job.batchSize, m);
 
@@ -468,7 +326,7 @@ cmdMemory(const std::vector<std::string> &args)
     require(stage >= 0 && stage <= 3, "--zero must be 0..3, got ",
             stage);
     options.zeroStage = static_cast<core::ZeroStage>(stage);
-    core::MemoryModel mm(model::OpCounter(model_cfg), accel, options);
+    core::MemoryModel mm(model.opCounter(), accel, options);
     const auto fp = mm.footprint(m, job.batchSize, ub);
 
     auto gb = [](double bytes) {
@@ -492,14 +350,13 @@ cmdMemory(const std::vector<std::string> &args)
 int
 cmdReport(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
-    addMappingOptions(parser);
+    RequestFlags flags(serve::kOneMappingFields);
+    ArgParser &parser = flags.parser;
     parser.addOption("zero", "ZeRO stage (0-3)", "0");
     parser.addOption("tdp", "accelerator TDP in watts", "400");
     parser.addOption("idle-fraction",
                      "idle power as a fraction of TDP", "0.3");
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
     explore::ReportOptions options;
     const std::int64_t stage = parser.getInt("zero");
@@ -509,20 +366,20 @@ cmdReport(const std::vector<std::string> &args)
     options.power.tdpWatts = Watts{parser.getDouble("tdp")};
     options.power.idleFraction = parser.getDouble("idle-fraction");
 
-    std::cout << explore::generateReport(modelFrom(parser),
-                                         mappingFrom(parser),
-                                         jobFrom(parser), options);
+    std::cout << explore::generateReport(
+        serve::modelFrom(params, flags.files()),
+        serve::mappingFrom(params), serve::jobFrom(params), options);
     return 0;
 }
 
 int
 cmdScale(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
+    RequestFlags flags(serve::kCommonFields);
+    ArgParser &parser = flags.parser;
     parser.addOption("max-nodes", "largest node count to sweep",
                      "256");
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
     std::cout << "strong scaling: best mapping per node count, "
               << parser.get("model") << ", batch "
@@ -533,23 +390,15 @@ cmdScale(const std::vector<std::string> &args)
     std::int64_t base_nodes = 0;
     for (std::int64_t nodes = 1;
          nodes <= parser.getInt("max-nodes"); nodes *= 2) {
-        net::SystemConfig sys = systemFrom(parser);
+        serve::Overrides given = flags.files();
+        net::SystemConfig sys = serve::systemFrom(params, given);
         sys.numNodes = nodes;
-        core::ModelOptions options = validate::calibrations::
-            nvswitchOptions(sys.acceleratorsPerNode);
-        options.bubbleOverlapRatio = parser.getDouble("bubble-r");
-        const double a = parser.getDouble("eff-a");
-        core::AmpedModel amped(
-            modelConfigFrom(parser), acceleratorConfigFrom(parser),
-            hw::MicrobatchEfficiency(
-                a, parser.getDouble("eff-b"),
-                std::min(parser.getDouble("eff-floor"), a)),
-            sys, options);
-        explore::Explorer explorer(amped);
+        given.system = sys;
+        explore::Explorer explorer(serve::modelFrom(params, given));
         explorer.setThreads(
             static_cast<unsigned>(parser.getInt("threads")));
-        auto sweep = explorer.sweepAll(
-            {parser.getDouble("batch")}, jobFrom(parser));
+        const auto job = serve::jobFrom(params);
+        auto sweep = explorer.sweepAll({job.batchSize}, job);
         const auto best = explore::Explorer::best(sweep);
         if (!best) {
             table.addRow({std::to_string(nodes),
@@ -580,9 +429,8 @@ cmdScale(const std::vector<std::string> &args)
 int
 cmdResilience(const std::vector<std::string> &args)
 {
-    ArgParser parser;
-    addCommonOptions(parser);
-    addMappingOptions(parser);
+    RequestFlags flags(serve::kOneMappingFields);
+    ArgParser &parser = flags.parser;
     parser.addOption("device-mtbf-years",
                      "per-device mean time between failures in years "
                      "(0 = failure-free)", "5");
@@ -600,11 +448,11 @@ cmdResilience(const std::vector<std::string> &args)
                      "analytic only)", "0");
     parser.addOption("mc-seed", "Monte-Carlo base seed", "1");
     addDeadlineOption(parser);
-    parser.parse(args);
+    const auto params = flags.parse(args);
 
-    const auto model = modelFrom(parser);
-    const auto m = mappingFrom(parser);
-    const auto job = jobFrom(parser);
+    const auto model = serve::modelFrom(params, flags.files());
+    const auto m = serve::mappingFrom(params);
+    const auto job = serve::jobFrom(params);
     const auto result = model.evaluate(m, job);
 
     const core::MemoryModel memory(model.opCounter(),

@@ -18,7 +18,8 @@
  *    quantity layer (src/common/quantity.hpp) owns those dimensions.
  *    Absorbed unchanged from lint_units.
  *
- *  - no-locale-parse: no `strtod` / `strtof` / `strtold` / `atof` /
+ *  - no-locale-parse: no `strtod` / `strtof` / `strtold` /
+ *    `std::stod` / `std::stof` / `std::stold` / `atof` /
  *    `sscanf`-family calls anywhere.  They read the process locale's
  *    radix character, so LC_ALL=de_DE.UTF-8 silently corrupts every
  *    parsed double; the one canonical parser is
@@ -317,7 +318,7 @@ scanNoLocaleParse(const SourceFile &file, const Allowlist &allow,
 {
     static const std::string kRule = "no-locale-parse";
     static const std::regex call(
-        R"(\b(?:std\s*::\s*)?(strtod|strtof|strtold|atof|sscanf|fscanf|vsscanf|vfscanf|scanf)\s*\()");
+        R"(\b(?:std\s*::\s*)?(strtod|strtof|strtold|stod|stof|stold|atof|sscanf|fscanf|vsscanf|vfscanf|scanf)\s*\()");
     for (std::size_t n = 0; n < file.code.size(); ++n) {
         const std::string &code = file.code[n];
         for (auto it = std::sregex_iterator(code.begin(), code.end(),
