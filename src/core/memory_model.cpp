@@ -58,8 +58,7 @@ MemoryModel::MemoryModel(model::OpCounter counter,
 }
 
 double
-MemoryModel::residentParameters(
-    const mapping::ParallelismConfig &mapping) const
+MemoryModel::residentParameters(const DegreeShape &shape) const
 {
     const auto &cfg = counter_.config();
     // Layer weights are sharded across TP ranks; the layer stack is
@@ -67,17 +66,17 @@ MemoryModel::residentParameters(
     // cluster, so a device holds ~1/E of each expert bank's weights
     // (mirroring OpCounter::gradientsPerLayer).
     double resident = layerParameters_ /
-                      static_cast<double>(mapping.tp() * mapping.pp());
+                      static_cast<double>(shape.tp * shape.pp);
     // Embeddings live on the first/last stage; amortize per device.
     resident += static_cast<double>(cfg.vocabSize + cfg.seqLength) *
                 static_cast<double>(cfg.hiddenSize) /
-                static_cast<double>(mapping.tp() * mapping.pp());
+                static_cast<double>(shape.tp * shape.pp);
     return resident;
 }
 
 double
-MemoryModel::activationBytesPerMicrobatch(
-    const mapping::ParallelismConfig &mapping, double microbatch) const
+MemoryModel::activationBytesPerMicrobatch(const DegreeShape &shape,
+                                          double microbatch) const
 {
     const auto &cfg = counter_.config();
     const double s = static_cast<double>(cfg.seqLength);
@@ -89,7 +88,7 @@ MemoryModel::activationBytesPerMicrobatch(
 
     const double layers_per_stage =
         static_cast<double>(cfg.numLayers) /
-        static_cast<double>(mapping.pp());
+        static_cast<double>(shape.pp);
 
     double per_layer_elements;
     if (options_.activationRecompute) {
@@ -104,7 +103,7 @@ MemoryModel::activationBytesPerMicrobatch(
     }
     // Activations are sharded across TP ranks.
     return per_layer_elements * layers_per_stage * act_bytes /
-           static_cast<double>(mapping.tp());
+           static_cast<double>(shape.tp);
 }
 
 MemoryFootprint
@@ -112,14 +111,24 @@ MemoryModel::footprint(const mapping::ParallelismConfig &mapping,
                        double batch, double microbatch) const
 {
     mapping.validate();
+    return footprint(DegreeShape::of(mapping), batch, microbatch);
+}
+
+MemoryFootprint
+MemoryModel::footprint(const DegreeShape &shape, double batch,
+                       double microbatch) const
+{
+    if (!(shape.tp >= 1 && shape.pp >= 1 && shape.dp >= 1))
+        fatal("memory footprint: degrees must all be >= 1 (tp ",
+              shape.tp, ", pp ", shape.pp, ", dp ", shape.dp, ")");
     require(batch >= 1.0, "memory footprint: batch must be >= 1");
     require(microbatch >= 1.0,
             "memory footprint: microbatch must be >= 1");
     require(microbatch <= batch,
             "memory footprint: microbatch exceeds batch");
 
-    const double params = residentParameters(mapping);
-    const double dp = static_cast<double>(mapping.dp());
+    const double params = residentParameters(shape);
+    const double dp = static_cast<double>(shape.dp);
     const double param_bytes_each =
         accel_.precisions.parameterBits.value() / units::bitsPerByte;
 
@@ -144,11 +153,10 @@ MemoryModel::footprint(const mapping::ParallelismConfig &mapping,
 
     double in_flight = options_.activationsInFlightOverride;
     if (in_flight <= 0.0) {
-        in_flight =
-            mapping.pp() > 1 ? static_cast<double>(mapping.pp()) : 1.0;
+        in_flight = shape.pp > 1 ? static_cast<double>(shape.pp) : 1.0;
     }
     fp.activationBytes =
-        activationBytesPerMicrobatch(mapping, microbatch) * in_flight;
+        activationBytesPerMicrobatch(shape, microbatch) * in_flight;
     fp.workspaceBytes = options_.workspaceBytes;
     return fp;
 }
@@ -158,6 +166,14 @@ MemoryModel::fits(const mapping::ParallelismConfig &mapping,
                   double batch, double microbatch) const
 {
     return footprint(mapping, batch, microbatch).totalBytes() <=
+           accel_.memoryBytes;
+}
+
+bool
+MemoryModel::fits(const DegreeShape &shape, double batch,
+                  double microbatch) const
+{
+    return footprint(shape, batch, microbatch).totalBytes() <=
            accel_.memoryBytes;
 }
 

@@ -86,6 +86,30 @@ struct MemoryOptions
     double workspaceBytes = 1.5e9;
 };
 
+/**
+ * Everything a footprint reads of a mapping: its total tensor-,
+ * pipeline- and data-parallel degrees.  The intra/inter split does
+ * not change the footprint, so mappings of one shape share it, and a
+ * table of footprint outcomes keyed by the shape (with the batch and
+ * microbatch size) is complete: were the footprint to read another
+ * field of the mapping, that field would join this struct, and every
+ * such key with it.
+ */
+struct DegreeShape
+{
+    std::int64_t tp = 1; ///< N_TP.
+    std::int64_t pp = 1; ///< N_PP.
+    std::int64_t dp = 1; ///< N_DP.
+
+    /** The shape of @p mapping (not validated). */
+    static DegreeShape of(const mapping::ParallelismConfig &mapping)
+    {
+        return {mapping.tp(), mapping.pp(), mapping.dp()};
+    }
+
+    bool operator==(const DegreeShape &) const = default;
+};
+
 /** Byte-level breakdown of one accelerator's footprint. */
 struct MemoryFootprint
 {
@@ -105,7 +129,7 @@ struct MemoryFootprint
  *
  * Thread safety: immutable after construction; footprint() / fits()
  * are const with no hidden state and safe to call concurrently
- * (the parallel Explorer screens points on a shared instance).
+ * (the sweep kernel fills its memory table on a shared instance).
  *
  * The per-layer parameter sum does not depend on the mapping, so the
  * constructor takes it once (in layer order) and every footprint()
@@ -126,15 +150,29 @@ class MemoryModel
 
     /**
      * Footprint of one accelerator under @p mapping with global
-     * batch @p batch and microbatch size @p microbatch.
+     * batch @p batch and microbatch size @p microbatch: validates
+     * the mapping, then takes its shape's footprint.
      */
     MemoryFootprint footprint(const mapping::ParallelismConfig &mapping,
                               double batch, double microbatch) const;
 
     /**
+     * Footprint of one accelerator of a mapping with degrees
+     * @p shape.
+     *
+     * @throws UserError when a degree is below 1.
+     */
+    MemoryFootprint footprint(const DegreeShape &shape, double batch,
+                              double microbatch) const;
+
+    /**
      * True when the footprint fits the accelerator's memory.
      */
     bool fits(const mapping::ParallelismConfig &mapping, double batch,
+              double microbatch) const;
+
+    /** fits() for a mapping with degrees @p shape. */
+    bool fits(const DegreeShape &shape, double batch,
               double microbatch) const;
 
     /**
@@ -149,13 +187,11 @@ class MemoryModel
 
   private:
     /** Parameters resident on one device (TP/PP/expert sharded). */
-    double residentParameters(
-        const mapping::ParallelismConfig &mapping) const;
+    double residentParameters(const DegreeShape &shape) const;
 
     /** Activation bytes for one microbatch on one device. */
-    double activationBytesPerMicrobatch(
-        const mapping::ParallelismConfig &mapping,
-        double microbatch) const;
+    double activationBytesPerMicrobatch(const DegreeShape &shape,
+                                        double microbatch) const;
 
     model::OpCounter counter_;
     hw::AcceleratorConfig accel_;

@@ -157,15 +157,7 @@ Explorer::sortByTime(std::vector<SweepEntry> &entries,
     // Rank 16-byte (key, index) pairs rather than the entries
     // themselves.  The index breaks key ties, so the order is exactly
     // a stable sort's.  Keys are never NaN, so -0.0 and +0.0 tie.
-    struct Ranked
-    {
-        double key;
-        std::size_t index;
-    };
-    const auto before = [](const Ranked &a, const Ranked &b) {
-        return a.key != b.key ? a.key < b.key : a.index < b.index;
-    };
-    std::vector<Ranked> order(n);
+    std::vector<RankedIndex> order(n);
     pool.parallelFor(
         n, kKeysPerGrab,
         [&](std::size_t i) { order[i] = {timeKey(entries[i]), i}; },
@@ -192,7 +184,7 @@ Explorer::sortByTime(std::vector<SweepEntry> &entries,
                 const auto [lo, hi] = level[i];
                 std::nth_element(first + bound[lo],
                                  first + bound[(lo + hi) / 2],
-                                 first + bound[hi], before);
+                                 first + bound[hi]);
             },
             workers);
         std::vector<std::pair<std::size_t, std::size_t>> next;
@@ -208,7 +200,7 @@ Explorer::sortByTime(std::vector<SweepEntry> &entries,
     pool.parallelFor(
         ranges, 1,
         [&](std::size_t k) {
-            std::sort(first + bound[k], first + bound[k + 1], before);
+            std::sort(first + bound[k], first + bound[k + 1]);
         },
         workers);
 

@@ -80,6 +80,23 @@ struct SweepResult
     std::size_t cancelledUnvisited = 0;
 };
 
+/**
+ * A ranking entry: a key and the row or grid index it stands for.
+ * operator< orders by key, then index; with no NaN key that is a
+ * strict total order, so whatever ranks by it (Explorer::sortByTime,
+ * the optimizer's visit) yields one sequence at any worker count.
+ */
+struct RankedIndex
+{
+    double key = 0.0;
+    std::size_t index = 0;
+
+    bool operator<(const RankedIndex &o) const
+    {
+        return key != o.key ? key < o.key : index < o.index;
+    }
+};
+
 /** Explorer::sweepTop's answer: a sweep ranked and cut to its best
  *  entries. */
 struct RankedSweep

@@ -75,6 +75,22 @@ struct BoundScalars
     double bubbleRatio = 0.0;
 };
 
+/** One mapping's screen: its survivors and its skipped points. */
+struct MappingScreen
+{
+    /** (bound, grid index) of each survivor; a min-heap once built. */
+    std::vector<RankedIndex> heap;
+    std::size_t skippedInfeasible = 0;
+    std::size_t prunedByMemory = 0;
+};
+
+/** Heap order putting the smallest (bound, grid index) on top. */
+bool
+visitsAfter(const RankedIndex &a, const RankedIndex &b)
+{
+    return b < a;
+}
+
 /**
  * Classifies one grid point from the kernel's constant tables alone,
  * following AmpedModel::evaluate's exact step order (see
@@ -90,10 +106,9 @@ struct BoundScalars
  * argument in DESIGN.md).
  */
 Disposition
-screenPoint(const SweepKernel &kernel,
-            const core::MemoryModel *memory_model,
-            const BoundScalars &sc, std::size_t mapping_index,
-            std::size_t job_index, double &bound)
+screenPoint(const SweepKernel &kernel, const BoundScalars &sc,
+            std::size_t mapping_index, std::size_t job_index,
+            double &bound)
 {
     bound = kInf;
     const MappingInfo &mi = kernel.mappingInfo(mapping_index);
@@ -102,26 +117,26 @@ screenPoint(const SweepKernel &kernel,
     const core::SweepTermCache &cache = kernel.termCache();
     using Status = core::SweepTermCache::LookupStatus;
 
-    if (memory_model != nullptr) {
+    const bool screened = kernel.memoryScreen() != nullptr;
+    if (screened) {
         if (entry.ubKind == kUserError)
             return Disposition::infeasible;
         if (entry.ubKind == kError)
             return Disposition::needEval;
-        try {
-            if (!memory_model->fits(kernel.mappingAt(mapping_index),
-                                    ji.batch, entry.ub))
-                return Disposition::overMemory;
-        } catch (const UserError &) {
+        const MemoryCell &cell =
+            kernel.memoryCell(mapping_index, job_index);
+        if (cell.kind == kUserError)
             return Disposition::infeasible;
-        } catch (const std::exception &) {
+        if (cell.kind == kError)
             return Disposition::needEval;
-        }
+        if (!cell.fits)
+            return Disposition::overMemory;
     }
     if (mi.kind == kUserError || ji.validKind == kUserError)
         return Disposition::infeasible;
     if (mi.kind == kError || ji.validKind == kError)
         return Disposition::needEval;
-    if (memory_model == nullptr) {
+    if (!screened) {
         if (entry.ubKind == kUserError)
             return Disposition::infeasible;
         if (entry.ubKind == kError)
@@ -287,10 +302,9 @@ Optimizer::optimizeOver(
     if (count == 0)
         return out;
 
-    const core::MemoryModel *memory_model =
-        memoryModel_ ? &*memoryModel_ : nullptr;
-    const SweepKernel kernel(model_, memory_model, mappings, jobs,
-                             threads_, token_);
+    const SweepKernel kernel(model_,
+                             memoryModel_ ? &*memoryModel_ : nullptr,
+                             mappings, jobs, threads_, token_);
     out.counters.cells = kernel.numClasses() * num_jobs;
     if (kernel.primeStatus() != RunStatus::Completed) {
         out.status = kernel.primeStatus();
@@ -309,52 +323,62 @@ Optimizer::optimizeOver(
     sc.bubbleRatio = options.bubbleOverlapRatio;
 
     // ---- Screen + bound every grid point (parallel, pure). ---------
-    std::vector<Disposition> dispositions(count);
-    std::vector<double> bounds(count);
+    // Each mapping's task keeps its own survivors as a min-heap on
+    // (bound, grid index), so no state grows with the grid but the
+    // survivors themselves, and no serial pass walks the points.
+    std::vector<MappingScreen> screens(mappings.size());
     const unsigned workers =
         threads_ > 0 ? threads_ : ThreadPool::defaultThreadCount();
     const RunStatus screen_status = ThreadPool::shared().parallelFor(
         mappings.size(), /*chunk=*/16,
         [&](std::size_t m) {
+            MappingScreen &screen = screens[m];
             for (std::size_t j = 0; j < num_jobs; ++j) {
-                const std::size_t index = m * num_jobs + j;
-                dispositions[index] = screenPoint(
-                    kernel, memory_model, sc, m, j, bounds[index]);
+                double bound = kInf;
+                switch (screenPoint(kernel, sc, m, j, bound)) {
+                case Disposition::needEval:
+                    screen.heap.push_back({bound, m * num_jobs + j});
+                    break;
+                case Disposition::infeasible:
+                    ++screen.skippedInfeasible;
+                    break;
+                case Disposition::overMemory:
+                    ++screen.prunedByMemory;
+                    break;
+                }
             }
+            std::make_heap(screen.heap.begin(), screen.heap.end(),
+                           visitsAfter);
         },
         token_, workers);
     if (screen_status != RunStatus::Completed) {
-        // Screen slots are torn; nothing was dispositioned yet.
+        // Screen heaps are torn; nothing was dispositioned yet.
         out.status = screen_status;
         out.counters.cancelledUnvisited = count;
         return out;
     }
 
-    std::vector<std::size_t> order;
-    order.reserve(count);
-    for (std::size_t index = 0; index < count; ++index) {
-        switch (dispositions[index]) {
-        case Disposition::needEval:
-            order.push_back(index);
-            break;
-        case Disposition::infeasible:
-            ++out.counters.skippedInfeasible;
-            break;
-        case Disposition::overMemory:
-            ++out.counters.prunedByMemory;
-            break;
-        }
-    }
     // Best-first: ascending bound, grid order among equals.  The
-    // order is ranked lazily, one chunk at a time, because the visit
-    // usually stops after a short prefix (see the tail prune below).
-    const auto visits_before = [&](std::size_t a, std::size_t b) {
-        if (bounds[a] != bounds[b])
-            return bounds[a] < bounds[b];
-        return a < b;
+    // visit merges the mapping heaps lazily through a heap of the
+    // mappings that still hold survivors, ordered by their heads, so
+    // it ranks only as far as it reads.  (bound, grid index) is a
+    // strict total order, so the merged sequence is exactly a full
+    // sort's.
+    std::vector<std::size_t> open;
+    std::size_t survivors = 0;
+    for (std::size_t m = 0; m < screens.size(); ++m) {
+        const MappingScreen &screen = screens[m];
+        out.counters.skippedInfeasible += screen.skippedInfeasible;
+        out.counters.prunedByMemory += screen.prunedByMemory;
+        survivors += screen.heap.size();
+        if (!screen.heap.empty())
+            open.push_back(m);
+    }
+    const auto heads_after = [&screens](std::size_t a, std::size_t b) {
+        return visitsAfter(screens[a].heap.front(),
+                           screens[b].heap.front());
     };
-    std::size_t ranked = 0; // order[0, ranked) is in final order.
-    std::size_t rank_chunk = kMaxWavePoints;
+    std::make_heap(open.begin(), open.end(), heads_after);
 
     // ---- Best-first waves over the survivors. ----------------------
     // Max-heap of the k best candidates; the root is the current
@@ -432,34 +456,33 @@ Optimizer::optimizeOver(
         return RunStatus::Completed;
     };
 
-    std::size_t consumed = 0; // Order entries dispositioned so far.
+    std::size_t consumed = 0; // Survivors dispositioned so far.
     RunStatus search = RunStatus::Completed;
-    while (consumed < order.size()) {
-        if (consumed == ranked) {
-            // Rank the next chunk: select the smallest remaining
-            // entries, then sort only those.  The comparator is a
-            // strict total order, so the prefix equals a full sort's.
-            const auto begin = order.begin() + ranked;
-            ranked = std::min(order.size(), ranked + rank_chunk);
-            rank_chunk *= 2;
-            const auto end = order.begin() + ranked;
-            std::nth_element(begin, end, order.end(), visits_before);
-            std::sort(begin, end, visits_before);
-        }
-        const std::size_t index = order[consumed];
+    while (!open.empty()) {
         // Strictly-greater prune: a bound above the k-th best key
         // means the exact time is strictly above it too (bound <=
         // exact), so the point cannot displace any ranked entry.
         // The threshold only moves at a flush, and a flush needs an
-        // unpruned point; bounds ascend along the order, so once one
-        // point prunes, every later one does too.  The unranked tail
-        // is counted without being sorted or visited.
-        if (heap.size() == request.topK && bounds[index] > kth_key) {
-            out.counters.prunedByBound += order.size() - consumed;
-            consumed = order.size();
+        // unpruned point; bounds ascend along the visit, so once one
+        // point prunes, every later one does too.  The unmerged rest
+        // is counted without being ranked or visited.
+        const RankedIndex head = screens[open.front()].heap.front();
+        if (heap.size() == request.topK && head.key > kth_key) {
+            out.counters.prunedByBound += survivors - consumed;
+            consumed = survivors;
             break;
         }
-        wave.push_back(index);
+        // Pop the head off its mapping's heap, and put the mapping
+        // back while it has survivors left.
+        std::pop_heap(open.begin(), open.end(), heads_after);
+        std::vector<RankedIndex> &rest = screens[open.back()].heap;
+        std::pop_heap(rest.begin(), rest.end(), visitsAfter);
+        rest.pop_back();
+        if (rest.empty())
+            open.pop_back();
+        else
+            std::push_heap(open.begin(), open.end(), heads_after);
+        wave.push_back(head.index);
         ++consumed;
         if (wave.size() >= wave_cap) {
             search = flush();
@@ -473,11 +496,11 @@ Optimizer::optimizeOver(
         search = flush();
     if (search != RunStatus::Completed) {
         // A stopped flush leaves its wave queued, not evaluated:
-        // those points plus the never-consumed tail of the visit
-        // order complete the disposition partition.
+        // those points plus the never-consumed survivors complete
+        // the disposition partition.
         out.status = search;
         out.counters.cancelledUnvisited =
-            wave.size() + (order.size() - consumed);
+            wave.size() + (survivors - consumed);
     }
 
     std::sort_heap(heap.begin(), heap.end(), heap_cmp);

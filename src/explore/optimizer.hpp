@@ -12,7 +12,8 @@
  *     whose mapping, job or microbatching provably fail validation
  *     are skipped outright, and (with a memory model) points whose
  *     footprint exceeds the device capacity are pruned without
- *     touching the evaluator.
+ *     touching the evaluator; the kernel checks the footprint once
+ *     per (degree shape, job) cell, not once per point.
  *  2. Admissible lower bounds.  The additive model's total is a sum
  *     of nonnegative terms, every one of which is an O(1) lookup in
  *     the primed core::SweepTermCache or a cheap closed form.
@@ -27,10 +28,12 @@
  *     evaluated through the batched SoA kernel, bit-identically to
  *     Explorer::sweepAll.  Wave boundaries are independent of the
  *     thread count, so results AND counters are deterministic.  The
- *     order is ranked chunk by chunk as the visit reaches it, and
- *     the first bound-prune counts the unranked tail as pruned: the
- *     threshold moves only at a wave flush, so every later point
- *     would prune too.
+ *     screen keeps each mapping's survivors in a min-heap of its
+ *     own, and the visit merges those heaps lazily by their heads,
+ *     so no array the size of the grid is built or ranked.  The
+ *     first bound-prune counts every survivor not yet visited as
+ *     pruned: the threshold moves only at a wave flush, so every
+ *     later point would prune too.
  *
  * The returned top-k is bit-pattern-identical to sorting the full
  * exhaustive sweep by (total time, grid index) and truncating —

@@ -37,6 +37,15 @@ struct DpPpKeyHash
     }
 };
 
+struct DegreeShapeHash
+{
+    std::size_t operator()(const core::DegreeShape &k) const
+    {
+        return DpPpKeyHash{}(DpPpKey{k.dp, k.pp}) * 2654435761u ^
+               static_cast<std::size_t>(k.tp);
+    }
+};
+
 /** Grid points per work-queue grab inside a block. */
 constexpr std::size_t kPointChunk = 256;
 
@@ -207,10 +216,14 @@ SweepKernel::SweepKernel(
 
     const std::size_t num_jobs = jobs_.size();
 
-    // ---- Per-mapping constants and (dp, pp) class assignment. ------
+    // ---- Per-mapping constants, (dp, pp) class and memory shape. ---
     mappingInfos_.resize(mappings_.size());
     std::vector<std::size_t> class_representative; // mapping index
     std::unordered_map<DpPpKey, std::uint32_t, DpPpKeyHash> class_ids;
+    std::vector<core::DegreeShape> shapes;
+    std::vector<std::uint32_t> shape_classes; // class of each shape
+    std::unordered_map<core::DegreeShape, std::uint32_t, DegreeShapeHash>
+        shape_ids;
     for (std::size_t i = 0; i < mappings_.size(); ++i) {
         const auto &m = mappings_[i];
         MappingInfo &info = mappingInfos_[i];
@@ -244,8 +257,24 @@ SweepKernel::SweepKernel(
             classMembers_.emplace_back();
         }
         classMembers_[info.classIdx].push_back(i);
+        if (memoryModel_ == nullptr)
+            continue;
+        try {
+            m.validate(); // What fits() checks of a mapping first.
+        } catch (const UserError &) {
+            continue; // No shape: the fit check's UserError.
+        }
+        const core::DegreeShape shape = core::DegreeShape::of(m);
+        const auto [at, added] = shape_ids.emplace(
+            shape, static_cast<std::uint32_t>(shapes.size()));
+        if (added) {
+            shapes.push_back(shape);
+            shape_classes.push_back(info.classIdx);
+        }
+        info.shapeIdx = at->second;
     }
     const std::size_t num_classes = class_representative.size();
+    numShapes_ = shapes.size();
 
     // ---- Per-job constants. ----------------------------------------
     jobInfos_.resize(num_jobs);
@@ -272,26 +301,28 @@ SweepKernel::SweepKernel(
         info.flopsId = cache_.registerModelFlops(job.batchSize);
     }
 
-    // ---- (job x class) microbatching table, filled in parallel. ----
+    // ---- (job x class) and (shape x job) tables, in parallel. -----
     // Every row is independent of every other, so workers fill whole
-    // jobs; each job's rows are one per class, a stride of num_jobs
-    // apart in storage.  Each job collects its distinct keys and its
-    // failure messages in class order; until the ids are written
-    // below, a row's fwdId and moeId hold its slots in those lists
-    // and its messageId indexes the job's own messages.
+    // jobs; each job's rows are one per class (then one per shape), a
+    // stride of num_jobs apart in storage.  Each job collects its
+    // distinct keys and its failure messages in class order, then
+    // shape order; until the ids are written below, a row's fwdId and
+    // moeId hold its slots in those lists and a messageId indexes the
+    // job's own messages.
     const std::size_t workers =
         max_workers > 0 ? max_workers : ThreadPool::defaultThreadCount();
     jc_.resize(num_jobs * num_classes);
+    memory_.resize(num_jobs * numShapes_);
     std::vector<JobKeys> job_keys(num_jobs);
     ThreadPool::shared().parallelFor(
         num_jobs, /*chunk=*/kJobChunk,
         [&](std::size_t j) {
             const auto &job = jobs_[j];
             JobKeys &keys = job_keys[j];
-            // Keeps a kError row's what() in the job's message list.
-            const auto error = [&keys](JcEntry &entry,
+            // Keeps a kError what() in the job's message list.
+            const auto error = [&keys](std::uint32_t &message_id,
                                        const std::exception &e) {
-                entry.messageId =
+                message_id =
                     static_cast<std::uint32_t>(keys.messages.size());
                 keys.messages.emplace_back(e.what());
                 return kError;
@@ -305,7 +336,7 @@ SweepKernel::SweepKernel(
                 } catch (const UserError &) {
                     entry.ubKind = kUserError;
                 } catch (const std::exception &e) {
-                    entry.ubKind = error(entry, e);
+                    entry.ubKind = error(entry.messageId, e);
                 }
                 if (entry.ubKind != kOk)
                     continue;
@@ -316,7 +347,7 @@ SweepKernel::SweepKernel(
                 } catch (const UserError &) {
                     entry.preKind = kUserError;
                 } catch (const std::exception &e) {
-                    entry.preKind = error(entry, e);
+                    entry.preKind = error(entry.messageId, e);
                 }
                 entry.replicaBatch =
                     job.batchSize / static_cast<double>(rep.dp());
@@ -324,6 +355,20 @@ SweepKernel::SweepKernel(
                     continue;
                 entry.fwdId = slotOf(keys.effs, entry.eff);
                 entry.moeId = slotOf(keys.replicas, entry.replicaBatch);
+            }
+            for (std::size_t s = 0; s < numShapes_; ++s) {
+                const JcEntry &row = jc_[shape_classes[s] * num_jobs + j];
+                if (row.ubKind != kOk)
+                    continue;
+                MemoryCell &cell = memory_[s * num_jobs + j];
+                try {
+                    cell.fits =
+                        memoryModel_->fits(shapes[s], job.batchSize, row.ub);
+                } catch (const UserError &) {
+                    cell.kind = kUserError;
+                } catch (const std::exception &e) {
+                    cell.kind = error(cell.messageId, e);
+                }
             }
         },
         workers);
@@ -374,6 +419,11 @@ SweepKernel::SweepKernel(
                     entry.moeId = keys.replicas[entry.moeId].id;
                 }
             }
+            for (std::size_t s = 0; s < numShapes_; ++s) {
+                MemoryCell &cell = memory_[s * num_jobs + j];
+                if (cell.kind == kError)
+                    cell.messageId += keys.messageBase;
+            }
         },
         workers);
 
@@ -405,16 +455,15 @@ SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
             return; // infeasible (the default status)
         if (entry.ubKind == kError)
             return fail(messages_[entry.messageId]);
-        try {
-            if (!memoryModel_->fits(mappings_[index / num_jobs],
-                                    ji.batch, entry.ub)) {
-                cols.status[slot] = PointStatus::overMemory;
-                return;
-            }
-        } catch (const UserError &) {
+        const MemoryCell &cell =
+            memoryCell(index / num_jobs, index % num_jobs);
+        if (cell.kind == kUserError)
             return;
-        } catch (const std::exception &e) {
-            return fail(e.what());
+        if (cell.kind == kError)
+            return fail(messages_[cell.messageId]);
+        if (!cell.fits) {
+            cols.status[slot] = PointStatus::overMemory;
+            return;
         }
     }
     if (mi.kind == kUserError)

@@ -10,18 +10,24 @@
  *
  *  1. Enumerate the grid's distinct sub-problems: per-mapping facts
  *     (MappingInfo: worker counts, parallelism degrees, grad-comm
- *     class), per-job facts (JobInfo: batch size, batch count), and
- *     the (job x (dp, pp)-class) table of microbatching facts
- *     (JcEntry: microbatch size, microbatch count, efficiency,
- *     per-replica batch).  Two mappings share a class when they agree
- *     on the total data-parallel and pipeline degrees; within a class
- *     every compute term of the additive model is constant and only
- *     the communication terms vary with the intra/inter split.  The
- *     table's rows are independent, so they are filled in parallel
- *     over jobs.  A job's forward and weight-update keys vary with
- *     the class only through the efficiency, and its MoE key only
- *     through the per-replica batch, so each job collects its
- *     distinct values of both while it fills its rows.
+ *     class), per-job facts (JobInfo: batch size, batch count), the
+ *     (job x (dp, pp)-class) table of microbatching facts (JcEntry:
+ *     microbatch size, microbatch count, efficiency, per-replica
+ *     batch) and, with a memory model, the (shape x job) table of
+ *     memory-fit outcomes (MemoryCell).  Two mappings share a class
+ *     when they agree on the total data-parallel and pipeline
+ *     degrees; within a class every compute term of the additive
+ *     model is constant and only the communication terms vary with
+ *     the intra/inter split.  Two mappings share a shape
+ *     (core::DegreeShape) when they agree on every degree the
+ *     footprint reads, so one fit check per (shape, job) serves every
+ *     point of both; a shape fixes (dp, pp), so its microbatch size
+ *     is its class's.  Both tables' rows are independent, so they are
+ *     filled in parallel over jobs.  A job's forward and
+ *     weight-update keys vary with the class only through the
+ *     efficiency, and its MoE key only through the per-replica batch,
+ *     so each job collects its distinct values of both while it
+ *     fills its rows.
  *  2. Register each job's distinct keys with a core::SweepTermCache
  *     in one serial pass, slot-major and job-minor (see the class
  *     comment), write the term ids into the rows in parallel, and
@@ -48,11 +54,12 @@
  * tests/test_explore_batch.cpp hold it to the bytes of a plain
  * per-point loop kept in the tests (tests/reference_sweep.hpp).
  *
- * The class tables and the term cache are deliberately exposed
- * read-only: the optimizer's admissible lower bounds are assembled
- * from exactly these values (DESIGN.md "Branch-and-bound over the
+ * The class tables, the memory table and the term cache are
+ * deliberately exposed read-only: the optimizer's screen classifies
+ * points from exactly these values and assembles its admissible
+ * lower bounds from them (DESIGN.md "Branch-and-bound over the
  * additive model"), so any change to the evaluation order here is a
- * change to the bound's contract as well.
+ * change to the screen's and the bound's contract as well.
  */
 
 #ifndef AMPED_EXPLORE_SWEEP_KERNEL_HPP
@@ -102,12 +109,21 @@ enum FailKind : unsigned char
     kError = 2      ///< Scalar path throws another std::exception.
 };
 
+/** MappingInfo::shapeIdx of a mapping that has no memory shape. */
+inline constexpr std::uint32_t kNoShape = ~std::uint32_t{0};
+
 /** Grid-constant facts about one mapping. */
 struct MappingInfo
 {
     FailKind kind = kOk;  ///< validateFor(system) outcome.
     std::string message;  ///< what() when kind == kError.
     std::uint32_t classIdx = 0; ///< (dp, pp) class index.
+    /**
+     * Memory-shape index, in first-seen order; kNoShape without a
+     * memory model or when validate() throws (the fit check's
+     * UserError: such a mapping's points are infeasible).
+     */
+    std::uint32_t shapeIdx = kNoShape;
     double workers = 0.0; ///< double(totalWorkers()).
     double ppD = 0.0;     ///< double(pp()).
     double stageOverlap = 0.0; ///< 1.0 / double(pp()).
@@ -159,15 +175,31 @@ struct JcEntry
     std::size_t moeId = 0;
 };
 
+/**
+ * The memory screen's outcome for one (shape x job) cell:
+ * core::MemoryModel::fits for the shape, the job's batch and the
+ * shape's class's microbatch size.  Set only where that microbatch
+ * size exists (the class row's ubKind is kOk); the per-point
+ * evaluator and the optimizer's screen read it only there.
+ */
+struct MemoryCell
+{
+    FailKind kind = kOk; ///< fits() outcome; kUserError = infeasible.
+    bool fits = false;   ///< The verdict, when kind is kOk.
+    /** Message-table index of a kError failure's what(). */
+    std::uint32_t messageId = 0;
+};
+
 /** SoA output columns for one block of points (sweep_kernel.cpp). */
 struct BlockColumns;
 
 /**
  * One grid's evaluation state: constant tables, primed term cache
  * and the exact per-point evaluator.  Construction fills the
- * (job x class) table in parallel on the shared pool; each job
- * collects its distinct (efficiency, per-replica batch) keys in class
- * order, and its failure messages.  One serial pass then registers
+ * (job x class) table, and with a memory model the (shape x job)
+ * table, in parallel on the shared pool; each job collects its
+ * distinct (efficiency, per-replica batch) keys in class order, and
+ * its failure messages.  One serial pass then registers
  * the keys slot-major, job-minor: the first distinct key of every
  * job, then the second of every job, and so on.  That keeps a class's
  * term ids running along the job axis, the axis the block loop walks
@@ -271,17 +303,27 @@ class SweepKernel
         return jc_[class_index * jobs_.size() + job_index];
     }
 
+    /**
+     * The memory screen's outcome for one grid point.  Meaningful
+     * only with a memory model and where the point's class row has
+     * ubKind kOk (see MemoryCell); a mapping with no shape reads as
+     * a UserError.
+     */
+    const MemoryCell &memoryCell(std::size_t mapping_index,
+                                 std::size_t job_index) const
+    {
+        static constexpr MemoryCell kNoShapeCell{kUserError};
+        const std::uint32_t shape = mappingInfos_[mapping_index].shapeIdx;
+        return shape == kNoShape
+                   ? kNoShapeCell
+                   : memory_[shape * jobs_.size() + job_index];
+    }
+
     /** Mapping indices belonging to one class, ascending. */
     const std::vector<std::size_t> &
     classMembers(std::uint32_t class_index) const
     {
         return classMembers_[class_index];
-    }
-
-    const mapping::ParallelismConfig &
-    mappingAt(std::size_t mapping_index) const
-    {
-        return mappings_[mapping_index];
     }
 
     const core::TrainingJob &jobAt(std::size_t job_index) const
@@ -325,7 +367,10 @@ class SweepKernel
     std::vector<MappingInfo> mappingInfos_;
     std::vector<JobInfo> jobInfos_;
     std::vector<JcEntry> jc_;
-    std::vector<std::string> messages_; ///< JcEntry::messageId -> what().
+    std::size_t numShapes_ = 0; ///< Distinct memory shapes.
+    std::vector<MemoryCell> memory_; ///< (shape x job), job fastest.
+    /** JcEntry / MemoryCell messageId -> what(). */
+    std::vector<std::string> messages_;
     std::vector<std::vector<std::size_t>> classMembers_;
 };
 

@@ -47,10 +47,12 @@ constexpr Field kFields[] = {
     {"intra", Kind::text, "nvlink-a100",
      "intra-node interconnect preset"},
     {"inter", Kind::text, "hdr", "inter-node interconnect preset"},
-    {"nodes", Kind::integer, "128", "number of nodes"},
-    {"per-node", Kind::integer, "8", "accelerators per node"},
+    {"nodes", Kind::integer, "128", "number of nodes",
+     Range::atLeastOne},
+    {"per-node", Kind::integer, "8", "accelerators per node",
+     Range::atLeastOne},
     {"nics", Kind::integer, "0",
-     "NICs per node (0 = one per accelerator)"},
+     "NICs per node (0 = one per accelerator)", Range::nonNegative},
     {"batch", Kind::number, "8192", "global batch size",
      Range::positive},
     {"tokens", Kind::number, "300e9", "training-token budget",

@@ -11,8 +11,9 @@
  * on stderr.  The property test below drives ~200 randomized grids
  * — mixed feasible / infeasible / over-memory / poisoned points,
  * with and without a memory screen, with microbatching overrides —
- * through the Explorer at thread counts 1, 2 and 8 and asserts
- * exactly that.
+ * plus MoE grids and screened grids whose mapping lists mix two
+ * device counts through the Explorer at thread counts 1, 2 and 8 and
+ * asserts exactly that.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "reference_sweep.hpp"
+#include "split_class_draws.hpp"
 
 namespace amped {
 namespace explore {
@@ -288,6 +290,38 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
             }
         }
     }
+
+    // Mapping lists mixing two device counts, on a seeded loop of
+    // their own, always screened.  Each draw picks from one (dp, pp)
+    // class that holds two shapes (split_class_draws.hpp), and the
+    // capacities sit near the fit boundary, so the class's verdicts
+    // differ between its shapes: a verdict taken from the wrong shape
+    // moves a point between skipped and memorySkipped.
+    const auto mixed_mappings =
+        testutil::mixedDeviceCountMappings(testSystem());
+    std::mt19937 mixed_rng(0x5B1A7E55u);
+    std::size_t split_grids = 0;
+    std::size_t mixed_memory = 0;
+    for (int grid = 0; grid < 60; ++grid) {
+        static const double kCapacities[] = {2.5e9, 3e9, 4e9};
+        auto device = hw::presets::tinyTest();
+        device.memoryBytes = kCapacities[grid % 3];
+        const core::MemoryModel mixed_screen(
+            model::OpCounter(model::presets::minGpt85M()), device,
+            screen_options);
+        std::vector<mapping::ParallelismConfig> mappings;
+        std::vector<core::TrainingJob> jobs;
+        drawGrid(mixed_rng,
+                 testutil::splitClassPool(mixed_rng, mixed_mappings),
+                 mappings, jobs);
+        split_grids += testutil::splitsAClass(mappings) ? 1 : 0;
+        const auto ref =
+            expectGridMatchesReference(mingpt, &mixed_screen, mappings, jobs);
+        tally(ref);
+        mixed_memory += ref.memorySkipped;
+        if (::testing::Test::HasFailure())
+            FAIL() << "first mismatch at mixed grid " << grid;
+    }
     // The generator must actually exercise every outcome class, or
     // the byte-identity assertions above prove less than they claim.
     EXPECT_GT(total_feasible, 0u);
@@ -295,6 +329,8 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(total_memory, 0u);
     EXPECT_GT(total_failed, 0u);
     EXPECT_GT(moe_feasible, 0u);
+    EXPECT_GT(split_grids, 0u);
+    EXPECT_GT(mixed_memory, 0u);
 }
 
 TEST(ExploreBatchTest, TermIdsAreTheSameAtAnyWorkerCount)

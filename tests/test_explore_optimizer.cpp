@@ -9,12 +9,14 @@
  *     (reference_sweep.hpp), sort by (total time, grid order),
  *     truncate — over ~200 randomized grids mixing feasible /
  *     infeasible / over-memory / NaN-poisoned points, at thread
- *     counts 1, 2 and 8.  Counters must be thread-count-invariant
- *     and partition the grid exactly; any grid where the bound
- *     pruned points while the ranking still matches brute force is
- *     direct evidence the bound never discarded a true winner.  Two
- *     larger grids, one of them NaN-pinned throughout, take the
- *     search past the first ranked chunk of its visit order.
+ *     counts 1, 2 and 8, plus MoE grids and screened grids whose
+ *     mapping lists mix two device counts.  Counters must be
+ *     thread-count-invariant, partition the grid exactly and match
+ *     brute force's memory and infeasible counts; any grid where the
+ *     bound pruned points while the ranking still matches brute
+ *     force is direct evidence the bound never discarded a true
+ *     winner.  Two larger grids, one of them NaN-pinned throughout,
+ *     visit thousands of survivors across the mapping heaps.
  *  2. Degenerate searches.  Infeasible-everywhere grids, one-device
  *     clusters, prime device counts and expert-parallel requests on
  *     dense models must produce diagnosable empty/short results or
@@ -42,6 +44,7 @@
 #include "model/presets.hpp"
 #include "net/system_config.hpp"
 #include "reference_sweep.hpp"
+#include "split_class_draws.hpp"
 #include "sim/training_sim.hpp"
 #include "validate/calibrations.hpp"
 
@@ -89,9 +92,10 @@ using testutil::entryBits;
  * point with AmpedModel::evaluate and rank it with std::stable_sort
  * (reference_sweep.hpp, which shares no code with the kernel the
  * optimizer searches with or with Explorer::sortByTime): ascending
- * by total time, NaN last, ties in grid order.  Then truncate to k.
+ * by total time, NaN last, ties in grid order.  Then truncate the
+ * entries to k; the counters cover the whole grid.
  */
-std::vector<SweepEntry>
+SweepResult
 bruteForceTopK(const core::AmpedModel &model,
                const core::MemoryModel *screen,
                const std::vector<mapping::ParallelismConfig> &mappings,
@@ -110,7 +114,7 @@ bruteForceTopK(const core::AmpedModel &model,
     testutil::referenceRank(result.entries);
     if (result.entries.size() > k)
         result.entries.resize(k);
-    return result.entries;
+    return result;
 }
 
 OptimizerResult
@@ -220,7 +224,9 @@ drawRequest(std::mt19937 &rng,
 /**
  * Runs one search at 1, 2 and 8 threads against brute force,
  * asserting bit-identical rankings, thread-invariant counters and
- * their partition; returns the counters of the 1-thread run.
+ * their partition; returns the counters of the 1-thread run.  The
+ * screen is exact, so its memory and infeasible counts (with the
+ * evaluated points that turned out so) are brute force's.
  */
 OptimizerCounters
 expectSearchMatchesBruteForce(
@@ -232,14 +238,18 @@ expectSearchMatchesBruteForce(
         bruteForceTopK(model, mem, mappings, request.batchSizes,
                        request.jobTemplate, request.topK);
     const auto at1 = runOptimizer(model, mem, 1, mappings, request);
-    expectSameRanking(ref, at1.topK, "optimize@1");
+    expectSameRanking(ref.entries, at1.topK, "optimize@1");
     expectCountersPartition(at1.counters, "optimize@1");
+    EXPECT_EQ(at1.counters.prunedByMemory + at1.counters.overMemory,
+              ref.memorySkipped);
+    EXPECT_EQ(at1.counters.skippedInfeasible + at1.counters.infeasible,
+              ref.skipped);
     for (const unsigned threads : {2u, 8u}) {
         if (::testing::Test::HasFailure())
             break;
         const auto got = runOptimizer(model, mem, threads, mappings, request);
         const std::string label = "optimize@" + std::to_string(threads);
-        expectSameRanking(ref, got.topK, label.c_str());
+        expectSameRanking(ref.entries, got.topK, label.c_str());
         expectSameCounters(at1.counters, got.counters, label.c_str());
     }
     return at1.counters;
@@ -327,6 +337,40 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
             }
         }
     }
+
+    // Mapping lists mixing two device counts, on a seeded loop of
+    // their own, always screened.  Each draw picks from one (dp, pp)
+    // class that holds two shapes (split_class_draws.hpp), and the
+    // capacities sit near the fit boundary, so the class's verdicts
+    // differ between its shapes: a verdict taken from the wrong shape
+    // moves a point between prunedByMemory and skippedInfeasible, or
+    // into the ranking, which brute force catches.
+    const auto mixed_mappings =
+        testutil::mixedDeviceCountMappings(testSystem());
+    std::mt19937 mixed_rng(0x6C3D0F2Bu);
+    std::size_t split_grids = 0;
+    std::size_t mixed_memory = 0;
+    for (int grid = 0; grid < 60; ++grid) {
+        static const double kCapacities[] = {2.5e9, 3e9, 4e9};
+        auto device = hw::presets::tinyTest();
+        device.memoryBytes = kCapacities[grid % 3];
+        const core::MemoryModel mixed_screen(
+            model::OpCounter(model::presets::minGpt85M()), device,
+            screen_options);
+        std::vector<mapping::ParallelismConfig> mappings;
+        const auto request = drawRequest(
+            mixed_rng, testutil::splitClassPool(mixed_rng, mixed_mappings),
+            mappings);
+        split_grids += testutil::splitsAClass(mappings) ? 1 : 0;
+        const auto counters = expectSearchMatchesBruteForce(
+            mingpt, &mixed_screen, mappings, request);
+        tally(counters);
+        mixed_memory += counters.prunedByMemory;
+        if (::testing::Test::HasFailure())
+            FAIL() << "first mismatch at mixed grid " << grid;
+    }
+    EXPECT_GT(split_grids, 0u);
+    EXPECT_GT(mixed_memory, 0u);
     // The generator must exercise every disposition class — in
     // particular prunedByBound > 0 together with the bit-identical
     // rankings above is the direct proof that the bound never
@@ -341,10 +385,9 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
 }
 
 /**
- * A testSystem() grid larger than the optimizer's first two ranked
- * chunks of the visit order (4096 + 8192 entries), so the second
- * chunk is selected out of a larger remainder: all 31 mappings x 640
- * batch sizes.
+ * A testSystem() grid of all 31 mappings x 640 batch sizes, so a
+ * mapping's heap holds hundreds of survivors and the visit can pop
+ * thousands of them.
  */
 OptimizerRequest
 largeGridRequest(std::size_t top_k)
@@ -366,7 +409,8 @@ expectLargeGridMatchesBruteForce(const OptimizerRequest &request)
         model.opCounter().config().numLayers);
     const auto ref =
         bruteForceTopK(model, nullptr, mappings, request.batchSizes,
-                       request.jobTemplate, request.topK);
+                       request.jobTemplate, request.topK)
+            .entries;
     EXPECT_EQ(ref.size(), request.topK);
 
     const auto at1 = runOptimizer(model, nullptr, 1, mappings, request);
@@ -384,11 +428,11 @@ expectLargeGridMatchesBruteForce(const OptimizerRequest &request)
 
 TEST(ExploreOptimizerProperty, TopKMatchesBruteForcePastTheFirstRankedChunk)
 {
-    // Filling the heap visits more than the first 4096 ranked
-    // entries, so the search ranks a second chunk of the visit order
-    // before the tail prunes.  At top 9000 the visit reads most of
-    // that chunk, which a chunk not selected from the whole
-    // remainder gets wrong.
+    // Filling the top-k heap pops more than 4096 survivors off the
+    // 31 mapping heaps before the tail prunes, so the visit
+    // interleaves them many times over.  A mapping heap that yields
+    // its survivors out of order, or a mapping not put back after a
+    // pop, changes the ranking.
     for (const std::size_t top_k : {5000u, 9000u}) {
         const auto result =
             expectLargeGridMatchesBruteForce(largeGridRequest(top_k));
@@ -480,7 +524,7 @@ TEST(ExploreOptimizerDegenerate, PrimeDeviceCountStillRanksTrivialSplits)
     const auto ref =
         bruteForceTopK(model, nullptr, mappings, request.batchSizes,
                        request.jobTemplate, request.topK);
-    expectSameRanking(ref, result.topK, "prime-cluster");
+    expectSameRanking(ref.entries, result.topK, "prime-cluster");
 }
 
 TEST(ExploreOptimizerDegenerate, ExpertParallelOnDenseModelIsRejected)

@@ -198,6 +198,32 @@ const BadInputCase kBadInputs[] = {
      "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
      ",\"batch\":64,\"microbatch\":-3}}",
      "error", "params.microbatch must be >= 0, got -3", false},
+    // A bad cluster size names the request field, not the model's
+    // numNodes, and nics < 0 no longer reads as "one per device".
+    {"eval-nics-minus-5",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,\"nics\":-5}}",
+     "error", "params.nics must be >= 0, got -5", false},
+    {"eval-nodes-0",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{\"model\":\"tiny\","
+     "\"accel\":\"tiny\",\"nodes\":0,\"per-node\":4,\"batch\":64}}",
+     "error", "params.nodes must be >= 1, got 0", false},
+    {"eval-per-node-0",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{\"model\":\"tiny\","
+     "\"accel\":\"tiny\",\"nodes\":2,\"per-node\":0,\"batch\":64}}",
+     "error", "params.per-node must be >= 1, got 0", false},
+    {"sweep-nics-minus-5",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"nics\":-5}}",
+     "error", "params.nics must be >= 0, got -5", false},
+    {"sweep-nodes-0",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{\"model\":\"tiny\","
+     "\"accel\":\"tiny\",\"nodes\":0,\"per-node\":4,\"batch\":64}}",
+     "error", "params.nodes must be >= 1, got 0", false},
+    {"sweep-per-node-0",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{\"model\":\"tiny\","
+     "\"accel\":\"tiny\",\"nodes\":2,\"per-node\":0,\"batch\":64}}",
+     "error", "params.per-node must be >= 1, got 0", false},
 };
 
 #undef TINY_CLUSTER
