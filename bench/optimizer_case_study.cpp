@@ -10,7 +10,7 @@
  *  - identity: the top-3 strategies are bit-identical to sorting the
  *    exhaustive sweep by (total time, grid index) and truncating;
  *  - economy: the exact batch kernel runs on < 10 % of the screened
- *    points — the admissible bound prunes the rest.
+ *    points — the exact-key prune drops the rest.
  *
  * Both are require()d (the bench exits nonzero on violation) and the
  * winning strategy, day figures, and prune counters are emitted as

@@ -19,9 +19,11 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "case_study_util.hpp"
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/amped_model.hpp"
 #include "core/memory_model.hpp"
@@ -260,13 +262,17 @@ parseCount(const char *flag, const char *text, T min, T &out)
  * grid, then one Explorer::sortByTime of that sweep's rows at the
  * same thread cap, then `amped optimize` on that grid: one untimed
  * and five timed Optimizer::optimizeOver calls with the memory
- * screen and top 3 of bench/optimizer_case_study.  It writes a
- * machine-readable JSON record (BENCH_sweep.json, schema 4: grid
- * size, threads, sweep counters, one `runs` element with seconds /
- * items_per_sec / bytes_per_sec, a `rank` object with the ranked
- * entry count and seconds, and an `optimize` object with the median
- * seconds and the evaluated / pruned-by-bound / pruned-by-memory
- * counters).
+ * screen and top 3 of bench/optimizer_case_study, then the scalar
+ * path every serve `eval` and `report` request takes: one untimed
+ * pass of AmpedModel::evaluate over the grid's mappings at two batch
+ * sizes keeps the points that evaluate, and five timed passes run
+ * over them.  It writes a machine-readable JSON record
+ * (BENCH_sweep.json, schema 5: grid size, threads, sweep counters,
+ * one `runs` element with seconds / items_per_sec / bytes_per_sec, a
+ * `rank` object with the ranked entry count and seconds, an
+ * `optimize` object with the median seconds and the evaluated /
+ * pruned-by-bound / pruned-by-memory counters, and an `evaluate`
+ * object with the point count and the median pass's seconds).
  * Seconds are host-relative, so the gate compares two builds run
  * alternately on the same machine rather than a checked-in number.
  *
@@ -395,8 +401,42 @@ runSweepBenchMode(int argc, char **argv)
     optimize.set("seconds", optimize_median);
     optimize.set("counters", std::move(optimize_counters));
 
+    const core::AmpedModel model =
+        caseStudyModel(net::presets::a100Cluster1024());
+    std::vector<core::TrainingJob> evaluate_jobs(2, job);
+    evaluate_jobs[0].batchSize = 2048.0;
+    std::vector<std::pair<const mapping::ParallelismConfig *,
+                          const core::TrainingJob *>>
+        evaluate_points;
+    for (const auto &m : mappings) {
+        for (const auto &evaluate_job : evaluate_jobs) {
+            try {
+                benchmark::DoNotOptimize(model.evaluate(m, evaluate_job));
+                evaluate_points.emplace_back(&m, &evaluate_job);
+            } catch (const UserError &) {
+            }
+        }
+    }
+    constexpr std::size_t kTimedEvaluatePasses = 5;
+    std::vector<double> evaluate_seconds;
+    for (std::size_t pass = 0; pass < kTimedEvaluatePasses; ++pass) {
+        const auto start = clock::now();
+        for (const auto &[m, evaluate_job] : evaluate_points)
+            benchmark::DoNotOptimize(model.evaluate(*m, *evaluate_job));
+        evaluate_seconds.push_back(
+            std::chrono::duration<double>(clock::now() - start)
+                .count());
+    }
+    std::sort(evaluate_seconds.begin(), evaluate_seconds.end());
+    const double evaluate_median =
+        evaluate_seconds[kTimedEvaluatePasses / 2];
+    obs::Json evaluate = obs::Json::object();
+    evaluate.set("points", evaluate_points.size());
+    evaluate.set("timed_passes", kTimedEvaluatePasses);
+    evaluate.set("seconds", evaluate_median);
+
     obs::Json root = obs::Json::object();
-    root.set("schema_version", 4);
+    root.set("schema_version", 5);
     root.set("kind", "amped.sweep_bench");
     root.set("grid", std::move(grid));
     root.set("threads", std::move(thread_info));
@@ -407,6 +447,7 @@ runSweepBenchMode(int argc, char **argv)
     root.set("runs", std::move(runs));
     root.set("rank", std::move(rank));
     root.set("optimize", std::move(optimize));
+    root.set("evaluate", std::move(evaluate));
 
     std::ofstream out(out_path);
     if (!out) {
@@ -419,10 +460,12 @@ runSweepBenchMode(int argc, char **argv)
     out.close();
     std::fprintf(stderr,
                  "sweep: %zu points in %.3f s (%.0f/s); rank: %.3f s; "
-                 "optimize: median %.3f s of %zu, %zu evaluated -> %s\n",
+                 "optimize: median %.3f s of %zu, %zu evaluated; "
+                 "evaluate: median %.4f s per pass of %zu points -> %s\n",
                  points, seconds, static_cast<double>(points) / seconds,
                  rank_seconds, optimize_median, kTimedOptimizeCalls,
-                 found.evaluated, out_path.c_str());
+                 found.evaluated, evaluate_median,
+                 evaluate_points.size(), out_path.c_str());
     return 0;
 }
 

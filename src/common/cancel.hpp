@@ -23,7 +23,7 @@
  *
  * Checkpoint discipline (the determinism contract, DESIGN.md
  * "Cancellation and overload control"): work only observes the token
- * at coarse, thread-count-independent boundaries — between SoA sweep
+ * at coarse, thread-count-independent boundaries — between sweep
  * blocks, between optimizer waves, between Monte-Carlo replication
  * blocks — via checkpoint().  Cancellation therefore never tears a
  * result: a cancelled sweep's populated prefix is bit-identical to

@@ -27,7 +27,7 @@ AmpedModel::AmpedModel(model::TransformerConfig model_config,
       system_(std::move(system)), options_(options)
 {
     accel_.validate();
-    system_.validate();
+    links_ = system_.snapshot(); // Validates the system.
     require(options_.bubbleOverlapRatio >= 0.0,
             "bubbleOverlapRatio R must be non-negative, got ",
             options_.bubbleOverlapRatio);
@@ -41,13 +41,6 @@ AmpedModel::AmpedModel(model::TransformerConfig model_config,
     require(options_.ppCommMultiplier >= 1.0,
             "ppCommMultiplier must be >= 1, got ",
             options_.ppCommMultiplier);
-}
-
-net::LinkConfig
-AmpedModel::interLinkEffective() const
-{
-    return net::LinkConfig{"inter-effective", system_.interLatency(),
-                           system_.perStreamInterBandwidth()};
 }
 
 Seconds
@@ -76,7 +69,7 @@ AmpedModel::tpIntraCommTime(const mapping::ParallelismConfig &mapping,
         opCounter_.activationsTensorParallel(replica_batch);
     const Bits s_act = accel_.precisions.activationBits;
     return net::allReduceTime(mapping.tpIntra, n_act, s_act,
-                              system_.intraLink,
+                              links_.intraLink,
                               options_.intraTopologyFactorOverride);
 }
 
@@ -90,7 +83,7 @@ AmpedModel::tpInterCommTime(const mapping::ParallelismConfig &mapping,
         opCounter_.activationsTensorParallel(replica_batch);
     const Bits s_act = accel_.precisions.activationBits;
     return net::allReduceTime(mapping.tpInter, n_act, s_act,
-                              interLinkEffective(),
+                              links_.interEffective,
                               options_.interTopologyFactorOverride);
 }
 
@@ -106,7 +99,7 @@ AmpedModel::ppCommTime(const mapping::ParallelismConfig &mapping,
 
     Seconds intra{0.0};
     if (mapping.ppIntra > 1) {
-        intra = net::pointToPointTime(n_act, s_act, system_.intraLink) /
+        intra = net::pointToPointTime(n_act, s_act, links_.intraLink) /
                 layers;
     }
     Seconds inter{0.0};
@@ -115,9 +108,8 @@ AmpedModel::ppCommTime(const mapping::ParallelismConfig &mapping,
         // (scatter-gather of the activation slices), so the hop sees
         // the node-aggregate bandwidth rather than one stream's
         // share.
-        const net::LinkConfig hop{"inter-hop", system_.interLatency(),
-                                  system_.interBandwidth()};
-        inter = net::pointToPointTime(n_act, s_act, hop) / layers;
+        inter = net::pointToPointTime(n_act, s_act, links_.interHop) /
+                layers;
     }
     return std::max(intra, inter);
 }
@@ -135,12 +127,12 @@ AmpedModel::moeCommTime(std::int64_t layer, double replica_batch) const
     // combine).  On a pooled fabric (photonic substrate) the
     // exchange sees the node-aggregate bandwidth; with conventional
     // per-accelerator NICs each exchange stream rides its own NIC.
-    const BitsPerSecond inter_bw =
-        system_.interIsPooledFabric ? system_.interBandwidth()
-                                    : system_.perStreamInterBandwidth();
-    return 2.0 * net::allToAllTime(system_.numNodes, n_act, s_act,
-                                   system_.intraLink,
-                                   system_.interLatency(), inter_bw);
+    const BitsPerSecond inter_bw = links_.interIsPooledFabric
+                                       ? links_.interBandwidth
+                                       : links_.perStreamInterBandwidth;
+    return 2.0 * net::allToAllTime(links_.numNodes, n_act, s_act,
+                                   links_.intraLink, links_.interLatency,
+                                   inter_bw);
 }
 
 Seconds
@@ -165,16 +157,16 @@ AmpedModel::gradCommTime(const mapping::ParallelismConfig &mapping,
 
     if (options_.hierarchicalGradAllReduce) {
         intra_part = net::allReduceTime(
-            mapping.dpIntra, n_g, s_g, system_.intraLink,
+            mapping.dpIntra, n_g, s_g, links_.intraLink,
             options_.intraTopologyFactorOverride);
         inter_part = net::allReduceTime(
-            mapping.dpInter, n_g, s_g, interLinkEffective(),
+            mapping.dpInter, n_g, s_g, links_.interEffective,
             options_.interTopologyFactorOverride);
     } else {
         // Ablation: one flat all-reduce over every DP rank on the
         // slower inter-node tier.
         inter_part = net::allReduceTime(
-            mapping.dp(), n_g, s_g, interLinkEffective(),
+            mapping.dp(), n_g, s_g, links_.interEffective,
             options_.interTopologyFactorOverride);
     }
     return intra_part + inter_part;
@@ -188,103 +180,44 @@ AmpedModel::evaluate(const mapping::ParallelismConfig &mapping,
     job.validate();
 
     const auto &cfg = opCounter_.config();
-    const double batch = job.batchSize;
-    const double ub = job.microbatching.microbatchSize(batch, mapping);
-    const double n_ub =
-        job.microbatching.numMicrobatches(batch, mapping);
-    const double eff = efficiency_(ub);
-    const double workers = static_cast<double>(mapping.totalWorkers());
+    PointTerms terms;
+    terms.batch = job.batchSize;
+    terms.microbatchSize =
+        job.microbatching.microbatchSize(terms.batch, mapping);
+    terms.numMicrobatches =
+        job.microbatching.numMicrobatches(terms.batch, mapping);
+    terms.efficiency = efficiency_(terms.microbatchSize);
 
     // Activation traffic is per DP replica: replicas communicate in
     // parallel (DESIGN.md Sec. 3).
     const double replica_batch =
-        batch / static_cast<double>(mapping.dp());
+        terms.batch / static_cast<double>(mapping.dp());
 
-    Breakdown bd;
-
-    // --- Computation (Eq. 2-4, Eq. 12), scaled by all workers (Eq. 1).
-    // Breakdown is a plain-double reporting struct, so typed Seconds
-    // unwrap via .value() at the assignment boundary.
-    Seconds fwd_total{0.0};
-    Seconds update_total{0.0};
+    // --- Computation (Eq. 2-4, Eq. 12) summed over layers.
     for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
-        fwd_total += forwardComputeTime(l, batch, eff);
-        update_total += weightUpdateTime(l, eff);
+        terms.forwardCompute +=
+            forwardComputeTime(l, terms.batch, terms.efficiency);
+        terms.weightUpdate += weightUpdateTime(l, terms.efficiency);
     }
-    bd.computeForward = (fwd_total / workers).value();
-    bd.computeBackward =
-        (options_.backwardComputeMultiplier * fwd_total / workers)
-            .value();
-    bd.weightUpdate = (update_total / workers).value();
 
-    // --- Forward communication (Eq. 5-7, 9) summed over layers.
-    const double zero_factor = 1.0 + options_.zeroDpOverhead;
-    const double bwd_factor = options_.backwardCommMultiplier;
-    const double layers = static_cast<double>(cfg.numLayers);
-
-    const Seconds tp_intra_layer =
-        tpIntraCommTime(mapping, replica_batch);
-    const Seconds tp_inter_layer =
-        tpInterCommTime(mapping, replica_batch);
-    const Seconds pp_layer = ppCommTime(mapping, replica_batch);
-
-    Seconds moe_total_fwd{0.0};
+    // --- Forward communication (Eq. 5-7, 9).
+    terms.tpIntraLayer = tpIntraCommTime(mapping, replica_batch);
+    terms.tpInterLayer = tpInterCommTime(mapping, replica_batch);
+    terms.ppLayer = ppCommTime(mapping, replica_batch);
     for (std::int64_t l = 0; l < cfg.numLayers; ++l)
-        moe_total_fwd += moeCommTime(l, replica_batch);
-
-    // With pipelining, each stage owns L / N_PP layers and the
-    // stages' per-layer all-reduces run concurrently, so the
-    // wall-clock sum over layers is scaled by 1 / N_PP — the same
-    // concurrency the paper's Eq. 7 encodes via its 1/L factor
-    // (DESIGN.md Sec. 3).  PP hop communication is already a single
-    // boundary's traffic after the 1/L scaling, so it is not scaled
-    // again.
-    const double stage_overlap =
-        1.0 / static_cast<double>(mapping.pp());
-    const double fb = zero_factor * (1.0 + bwd_factor);
-    bd.commTpIntra =
-        (fb * tp_intra_layer * layers * stage_overlap).value();
-    bd.commTpInter =
-        (fb * tp_inter_layer * layers * stage_overlap).value();
-    bd.commPp =
-        (fb * pp_layer * layers * options_.ppCommMultiplier).value();
-    bd.commMoe = (fb * moe_total_fwd * stage_overlap).value();
+        terms.moeForward += moeCommTime(l, replica_batch);
 
     // --- Gradient all-reduce (Eq. 10-11) summed over layers.
     for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
         Seconds intra{0.0}, inter{0.0};
         gradCommTime(mapping, l, intra, inter);
-        bd.commGradIntra += intra.value();
-        bd.commGradInter += inter.value();
+        terms.gradIntra += intra;
+        terms.gradInter += inter;
     }
 
-    // --- Pipeline bubble (Eq. 8): R (N_PP - 1)/N_ub times the useful
-    // per-batch step work (compute already scaled by all workers,
-    // plus forward+backward communication).
-    if (mapping.pp() > 1) {
-        const double useful =
-            bd.computeForward + bd.computeBackward + bd.commTpIntra +
-            bd.commTpInter + bd.commPp + bd.commMoe;
-        bd.bubble = options_.bubbleOverlapRatio *
-                    (static_cast<double>(mapping.pp()) - 1.0) / n_ub *
-                    useful;
-    }
-
-    EvaluationResult result;
-    result.perBatch = bd;
-    result.timePerBatch = bd.total();
-    result.numBatches = job.numBatches(cfg.seqLength);
-    result.totalTime = result.numBatches * result.timePerBatch;
-    result.microbatchSize = ub;
-    result.numMicrobatches = n_ub;
-    result.efficiency = eff;
-    result.achievedFlopsPerGpu =
-        opCounter_.modelFlopsPerBatch(batch) /
-        (result.timePerBatch * workers);
-    result.tokensPerSecond =
-        batch * static_cast<double>(cfg.seqLength) /
-        result.timePerBatch;
-    return result;
+    terms.numBatches = job.numBatches(cfg.seqLength);
+    terms.modelFlops = Flops{opCounter_.modelFlopsPerBatch(terms.batch)};
+    return assemble(mapping, terms);
 }
 
 } // namespace core

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/thread_pool.hpp"
-#include "net/collectives.hpp"
 
 namespace amped {
 namespace core {
@@ -39,8 +37,7 @@ SweepTermCache::TripleKeyHash::operator()(const TripleKey &k) const
 }
 
 SweepTermCache::SweepTermCache(const AmpedModel &model)
-    : model_(model), rates_(hw::computeRateSnapshot(model.accelerator())),
-      system_(model.system().snapshot())
+    : model_(model), rates_(hw::computeRateSnapshot(model.accelerator()))
 {
     const auto &counter = model_.opCounter();
     const std::int64_t layers = counter.config().numLayers;
@@ -389,177 +386,6 @@ SweepTermCache::prime(unsigned max_workers, const CancelToken &token)
             }
         },
         token, workers);
-}
-
-void
-SweepTermCache::rethrow(const Entry &entry)
-{
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache lookup before prime()");
-    if (entry.outcome == Outcome::userError)
-        throw UserError(entry.message);
-    throw std::runtime_error(entry.message);
-}
-
-Seconds
-SweepTermCache::forwardComputeTotal(std::size_t id) const
-{
-    const Entry &entry = forward_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-Seconds
-SweepTermCache::weightUpdateTotal(std::size_t id) const
-{
-    const Entry &entry = update_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-Seconds
-SweepTermCache::moeForwardTotal(std::size_t id) const
-{
-    const Entry &entry = moe_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-SweepTermCache::GradTotals
-SweepTermCache::gradTotals(std::size_t id) const
-{
-    const Entry &entry = grad_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    GradTotals totals;
-    totals.intra = Seconds{entry.value};
-    totals.inter = Seconds{entry.value2};
-    return totals;
-}
-
-double
-SweepTermCache::modelFlopsPerBatch(std::size_t id) const
-{
-    const Entry &entry = flops_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return entry.value;
-}
-
-namespace {
-
-/** Converts a primed entry into the non-throwing probe form. */
-SweepTermCache::Probe
-probeEntry(double value, double value2, bool ok, bool user_error)
-{
-    SweepTermCache::Probe probe;
-    if (ok) {
-        probe.status = SweepTermCache::LookupStatus::ok;
-        probe.value = value;
-        probe.value2 = value2;
-    } else {
-        probe.status = user_error
-                           ? SweepTermCache::LookupStatus::userError
-                           : SweepTermCache::LookupStatus::error;
-    }
-    return probe;
-}
-
-} // namespace
-
-SweepTermCache::Probe
-SweepTermCache::probeForwardCompute(std::size_t id) const
-{
-    const Entry &entry = forward_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeWeightUpdate(std::size_t id) const
-{
-    const Entry &entry = update_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeMoeForward(std::size_t id) const
-{
-    const Entry &entry = moe_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeGrad(std::size_t id) const
-{
-    const Entry &entry = grad_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, entry.value2,
-                      entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-Seconds
-SweepTermCache::tpIntraCommTime(std::int64_t tp_intra,
-                                double replica_batch) const
-{
-    if (tp_intra <= 1)
-        return Seconds{0.0};
-    const double n_act =
-        model_.opCounter().activationsTensorParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-    return net::allReduceTime(
-        tp_intra, n_act, s_act, system_.intraLink,
-        model_.options().intraTopologyFactorOverride);
-}
-
-Seconds
-SweepTermCache::tpInterCommTime(std::int64_t tp_inter,
-                                double replica_batch) const
-{
-    if (tp_inter <= 1)
-        return Seconds{0.0};
-    const double n_act =
-        model_.opCounter().activationsTensorParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-    return net::allReduceTime(
-        tp_inter, n_act, s_act, system_.interEffective,
-        model_.options().interTopologyFactorOverride);
-}
-
-Seconds
-SweepTermCache::ppCommTime(std::int64_t pp_intra, std::int64_t pp_inter,
-                           double replica_batch) const
-{
-    const double layers =
-        static_cast<double>(model_.opCounter().config().numLayers);
-    const double n_act =
-        model_.opCounter().activationsPipelineParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-
-    Seconds intra{0.0};
-    if (pp_intra > 1) {
-        intra = net::pointToPointTime(n_act, s_act, system_.intraLink) /
-                layers;
-    }
-    Seconds inter{0.0};
-    if (pp_inter > 1) {
-        inter = net::pointToPointTime(n_act, s_act, system_.interHop) /
-                layers;
-    }
-    return std::max(intra, inter);
 }
 
 } // namespace core

@@ -32,28 +32,31 @@
  * layer order, so a term that throws does so at the same first layer
  * with the same message.
  *
- * Bit-exactness contract: every cached value is produced by the same
+ * Bit-exactness contract: every cached sum is produced by the same
  * floating-point operations, in the same order, on the same inputs as
- * the scalar evaluator — per-layer sub-accumulators included — so a
- * sweep evaluated through this cache is byte-identical to one
- * evaluated through AmpedModel::evaluate.  tests/test_explore_batch.cpp
- * asserts this property over randomized grids against a per-point
- * evaluate() loop (tests/reference_sweep.hpp); the goldens pin it for
- * the paper's case studies.  Any change to the scalar term order must
- * be mirrored here (and vice versa), or the property test fails.
+ * AmpedModel::evaluate's per-layer loops — per-layer sub-accumulators
+ * included — and the sweep kernel hands the sums, with the per-layer
+ * closed forms it takes from the model itself, to the same
+ * AmpedModel::assemble that evaluate() calls.  So a sweep evaluated
+ * through this cache is byte-identical to one evaluated point by
+ * point.  tests/test_explore_batch.cpp asserts this over randomized
+ * grids against the per-layer oracle in tests/reference_model.hpp;
+ * the goldens pin it for the paper's case studies.  A change to
+ * evaluate()'s per-layer term order must be made here too, or the
+ * property test fails.
  *
  * Failure semantics: registration never throws.  If computing a
- * cached sum throws (the scalar path would throw the same exception
- * at every point sharing the inputs), the entry is poisoned and the
- * lookup rethrows an exception of the same category (UserError vs
- * other) with the same message, so the sweep kernel classifies the
- * point exactly as a per-point evaluate() call would (skip vs
- * NaN-pin).
+ * cached sum throws (evaluate() would throw the same exception at
+ * every point sharing the inputs), the entry records the exception's
+ * category (UserError or other) and text.  A lookup returns the entry
+ * itself, so the sweep kernel classifies the point from it exactly as
+ * a per-point evaluate() call would (skip vs NaN-pin), without a
+ * throw.
  *
  * Thread safety: construction and register*() calls are
  * single-threaded; prime() fills all registered entries (internally
- * parallel); after prime() returns, every lookup and per-point term
- * function is const and safe to call concurrently.
+ * parallel); after prime() returns, every lookup is const and safe to
+ * call concurrently.
  */
 
 #ifndef AMPED_CORE_BATCH_TERMS_HPP
@@ -68,7 +71,6 @@
 #include "common/cancel.hpp"
 #include "core/amped_model.hpp"
 #include "hw/accelerator.hpp"
-#include "net/system_config.hpp"
 
 namespace amped {
 namespace core {
@@ -80,11 +82,24 @@ namespace core {
 class SweepTermCache
 {
   public:
-    /** Accumulated gradient all-reduce times (Eq. 10-11). */
-    struct GradTotals
+    /** How a cached computation ended. */
+    enum class Outcome : std::uint8_t
     {
-        Seconds intra{0.0}; ///< Sum over layers of the intra stage.
-        Seconds inter{0.0}; ///< Sum over layers of the inter stage.
+        pending,   ///< Registered, not primed yet.
+        ok,        ///< value fields valid.
+        userError, ///< evaluate() throws UserError(message).
+        error      ///< evaluate() throws another exception(message).
+    };
+
+    /** One memoized sum (two values cover the two-part grad case). */
+    struct Entry
+    {
+        double keyA = 0.0; ///< First input (batch / eff / replica...).
+        double keyB = 0.0; ///< Second input when the key is a pair.
+        double value = 0.0;  ///< The sum; grad: the intra stage's.
+        double value2 = 0.0; ///< Grad: the inter stage's sum.
+        Outcome outcome = Outcome::pending;
+        std::string message; ///< The failure's what().
     };
 
     /**
@@ -130,8 +145,9 @@ class SweepTermCache
      *
      * Cancellable: @p token is polled between phases and between
      * parallelFor chunks.  On a stop, unfilled entries stay pending —
-     * a later prime() (with a fresh token) completes them; lookups
-     * before that assert.  Inert token = always Completed.
+     * a later prime() (with a fresh token) completes them; until then
+     * their lookups read Outcome::pending.  Inert token = always
+     * Completed.
      *
      * @param max_workers Parallelism cap (0 = whole pool).
      */
@@ -139,90 +155,30 @@ class SweepTermCache
                     const CancelToken &token = {});
 
     // -----------------------------------------------------------------
-    // Lookups: const, thread-safe after prime().  Poisoned entries
-    // rethrow the recorded failure (same category and message the
-    // scalar path would produce).
+    // Lookups: one per entry kind, const and thread-safe after
+    // prime().  Each returns the entry: its value(s) when the outcome
+    // is ok, else the recorded failure's category and text.
     // -----------------------------------------------------------------
 
-    Seconds forwardComputeTotal(std::size_t id) const;
-    Seconds weightUpdateTotal(std::size_t id) const;
-    Seconds moeForwardTotal(std::size_t id) const;
-    GradTotals gradTotals(std::size_t id) const;
-    double modelFlopsPerBatch(std::size_t id) const;
-
-    // -----------------------------------------------------------------
-    // Probes: non-throwing variants of the lookups above for the
-    // branch-and-bound optimizer's bound assembly (explore/optimizer).
-    // A bound computation touches every registered entry of a search
-    // cell, including poisoned ones; probes report the recorded
-    // outcome as a status instead of rethrowing so the optimizer can
-    // classify the cell (evaluate everything vs provably infeasible)
-    // without exception round-trips.
-    // -----------------------------------------------------------------
-
-    /** How a probed entry's computation ended. */
-    enum class LookupStatus : std::uint8_t
+    /** Sum over layers of U_f (Eq. 2). */
+    const Entry &forwardCompute(std::size_t id) const
     {
-        ok,        ///< value (and value2 for grad) valid.
-        userError, ///< The throwing lookup raises UserError.
-        error      ///< The throwing lookup raises std::runtime_error.
-    };
+        return forward_[id];
+    }
 
-    /** Non-throwing lookup result. */
-    struct Probe
-    {
-        LookupStatus status = LookupStatus::ok;
-        double value = 0.0;  ///< Same scalar the lookup returns.
-        double value2 = 0.0; ///< Grad inter sum; unused otherwise.
-    };
+    /** Sum over layers of U_w (Eq. 12). */
+    const Entry &weightUpdate(std::size_t id) const { return update_[id]; }
 
-    Probe probeForwardCompute(std::size_t id) const;
-    Probe probeWeightUpdate(std::size_t id) const;
-    Probe probeMoeForward(std::size_t id) const;
-    Probe probeGrad(std::size_t id) const;
+    /** Sum over layers of M_f,MoE (Eq. 9). */
+    const Entry &moeForward(std::size_t id) const { return moe_[id]; }
 
-    // -----------------------------------------------------------------
-    // Per-point terms: cheap closed forms with no layer loop, computed
-    // from the const parameter snapshots.  Bit-exact mirrors of the
-    // corresponding AmpedModel member functions.
-    // -----------------------------------------------------------------
+    /** Sums over layers of the gradient all-reduce's two stages. */
+    const Entry &grad(std::size_t id) const { return grad_[id]; }
 
-    /** Mirrors AmpedModel::tpIntraCommTime. */
-    Seconds tpIntraCommTime(std::int64_t tp_intra,
-                            double replica_batch) const;
-
-    /** Mirrors AmpedModel::tpInterCommTime. */
-    Seconds tpInterCommTime(std::int64_t tp_inter,
-                            double replica_batch) const;
-
-    /** Mirrors AmpedModel::ppCommTime. */
-    Seconds ppCommTime(std::int64_t pp_intra, std::int64_t pp_inter,
-                       double replica_batch) const;
-
-    /** The model whose terms are cached. */
-    const AmpedModel &model() const { return model_; }
+    /** OpCounter::modelFlopsPerBatch of the registered batch. */
+    const Entry &modelFlops(std::size_t id) const { return flops_[id]; }
 
   private:
-    /** How a cached computation ended. */
-    enum class Outcome : std::uint8_t
-    {
-        pending,   ///< Registered, not primed yet.
-        ok,        ///< value fields valid.
-        userError, ///< Scalar path throws UserError(message).
-        error      ///< Scalar path throws std::runtime_error(message).
-    };
-
-    /** One memoized sum (two values cover the two-part grad case). */
-    struct Entry
-    {
-        double keyA = 0.0; ///< First input (batch / eff / replica...).
-        double keyB = 0.0; ///< Second input when the key is a pair.
-        double value = 0.0;
-        double value2 = 0.0;
-        Outcome outcome = Outcome::pending;
-        std::string message;
-    };
-
     /** Exact-match dedup key over three integers. */
     struct TripleKey
     {
@@ -280,12 +236,8 @@ class SweepTermCache
     void primeGrad(Entry &entry) const;
     void primeModelFlops(Entry &entry) const;
 
-    /** Rethrows a poisoned entry's recorded failure. */
-    static void rethrow(const Entry &entry);
-
     const AmpedModel &model_;
     hw::ComputeRateSnapshot rates_;
-    net::SystemSnapshot system_;
 
     // Layer classes, captured once at construction.
     std::vector<std::uint8_t> layerClass_; ///< Layer -> class index.

@@ -3,25 +3,6 @@
 namespace amped {
 namespace core {
 
-double
-Breakdown::total() const
-{
-    return computation() + communication() + bubble;
-}
-
-double
-Breakdown::communication() const
-{
-    return commTpIntra + commTpInter + commPp + commMoe +
-           commGradIntra + commGradInter;
-}
-
-double
-Breakdown::computation() const
-{
-    return computeForward + computeBackward + weightUpdate;
-}
-
 std::vector<std::pair<std::string, double>>
 Breakdown::phases() const
 {

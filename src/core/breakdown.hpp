@@ -44,6 +44,27 @@ struct Breakdown
     std::vector<std::pair<std::string, double>> phases() const;
 };
 
+// The sums are inline: AmpedModel::assemble takes total() once per
+// grid point.
+inline double
+Breakdown::total() const
+{
+    return computation() + communication() + bubble;
+}
+
+inline double
+Breakdown::communication() const
+{
+    return commTpIntra + commTpInter + commPp + commMoe +
+           commGradIntra + commGradInter;
+}
+
+inline double
+Breakdown::computation() const
+{
+    return computeForward + computeBackward + weightUpdate;
+}
+
 } // namespace core
 } // namespace amped
 

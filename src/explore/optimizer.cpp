@@ -26,7 +26,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  * boundaries, and boundaries depend on nothing but the deterministic
  * visit order — so prune counters and results are identical at every
  * thread count.  Waves ramp geometrically from a small first wave
- * (points are visited best-bound-first, so a handful of evaluations
+ * (points are visited best-key-first, so a handful of evaluations
  * usually pins the k-th best time and everything after prunes) up to
  * a cap that keeps the batch kernel's parallelism fed when pruning
  * is not biting.
@@ -34,18 +34,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kFirstWavePoints = 16;
 constexpr std::size_t kWaveGrowth = 4;
 constexpr std::size_t kMaxWavePoints = 4096;
-
-/** Relative safety margin absorbing floating-point reassociation
- *  between the bound's arithmetic and the batch kernel's. */
-constexpr double kBoundMargin = 1e-9;
-
-/** Where a screened grid point goes next. */
-enum class Disposition : unsigned char
-{
-    needEval,  ///< Survives the screen; carries a lower bound.
-    infeasible,///< Provably invalid: skipped without evaluation.
-    overMemory ///< Memory screen said no: pruned without evaluation.
-};
 
 /** One ranked candidate (feasible or NaN-pinned) in the top-k heap. */
 struct Candidate
@@ -64,160 +52,20 @@ ranksBefore(const Candidate &a, const Candidate &b)
     return a.gridIndex < b.gridIndex;
 }
 
-/** Model-option scalars shared by the screen (names match the
- *  batch kernel's hoisted constants). */
-struct BoundScalars
-{
-    double layersD = 0.0;
-    double bwdCompute = 0.0;
-    double fb = 0.0;
-    double ppMult = 0.0;
-    double bubbleRatio = 0.0;
-};
-
 /** One mapping's screen: its survivors and its skipped points. */
 struct MappingScreen
 {
-    /** (bound, grid index) of each survivor; a min-heap once built. */
+    /** (key, grid index) of each survivor; a min-heap once built. */
     std::vector<RankedIndex> heap;
     std::size_t skippedInfeasible = 0;
     std::size_t prunedByMemory = 0;
 };
 
-/** Heap order putting the smallest (bound, grid index) on top. */
+/** Heap order putting the smallest (key, grid index) on top. */
 bool
 visitsAfter(const RankedIndex &a, const RankedIndex &b)
 {
     return b < a;
-}
-
-/**
- * Classifies one grid point from the kernel's constant tables alone,
- * following AmpedModel::evaluate's exact step order (see
- * SweepKernel::evaluatePointInto), and assembles the admissible
- * lower bound for survivors.
- *
- * Failure mapping: a step the scalar path answers with UserError
- * proves the point infeasible (it can never enter the ranking); a
- * step that throws anything else means the point will NaN-pin, whose
- * ranking key is +infinity — so its bound IS +infinity and the
- * normal prune rule handles it.  The bound of a healthy point is its
- * exact additive total scaled down by kBoundMargin (admissibility
- * argument in DESIGN.md).
- */
-Disposition
-screenPoint(const SweepKernel &kernel, const BoundScalars &sc,
-            std::size_t mapping_index, std::size_t job_index,
-            double &bound)
-{
-    bound = kInf;
-    const MappingInfo &mi = kernel.mappingInfo(mapping_index);
-    const JobInfo &ji = kernel.jobInfo(job_index);
-    const JcEntry &entry = kernel.jcEntry(mi.classIdx, job_index);
-    const core::SweepTermCache &cache = kernel.termCache();
-    using Status = core::SweepTermCache::LookupStatus;
-
-    const bool screened = kernel.memoryScreen() != nullptr;
-    if (screened) {
-        if (entry.ubKind == kUserError)
-            return Disposition::infeasible;
-        if (entry.ubKind == kError)
-            return Disposition::needEval;
-        const MemoryCell &cell =
-            kernel.memoryCell(mapping_index, job_index);
-        if (cell.kind == kUserError)
-            return Disposition::infeasible;
-        if (cell.kind == kError)
-            return Disposition::needEval;
-        if (!cell.fits)
-            return Disposition::overMemory;
-    }
-    if (mi.kind == kUserError || ji.validKind == kUserError)
-        return Disposition::infeasible;
-    if (mi.kind == kError || ji.validKind == kError)
-        return Disposition::needEval;
-    if (!screened) {
-        if (entry.ubKind == kUserError)
-            return Disposition::infeasible;
-        if (entry.ubKind == kError)
-            return Disposition::needEval;
-    }
-    if (entry.preKind == kUserError)
-        return Disposition::infeasible;
-    if (entry.preKind == kError)
-        return Disposition::needEval;
-
-    // Term probes and closed forms, in the evaluator's lookup order
-    // (the first failing step decides the point's classification).
-    const auto fwd = cache.probeForwardCompute(entry.fwdId);
-    if (fwd.status == Status::userError)
-        return Disposition::infeasible;
-    if (fwd.status == Status::error)
-        return Disposition::needEval;
-    const auto upd = cache.probeWeightUpdate(entry.updId);
-    if (upd.status == Status::userError)
-        return Disposition::infeasible;
-    if (upd.status == Status::error)
-        return Disposition::needEval;
-
-    double tp_intra_layer = 0.0;
-    double tp_inter_layer = 0.0;
-    double pp_layer = 0.0;
-    try {
-        tp_intra_layer =
-            cache.tpIntraCommTime(mi.tpIntra, entry.replicaBatch)
-                .value();
-        tp_inter_layer =
-            cache.tpInterCommTime(mi.tpInter, entry.replicaBatch)
-                .value();
-        pp_layer = cache.ppCommTime(mi.ppIntra, mi.ppInter,
-                                    entry.replicaBatch)
-                       .value();
-    } catch (const UserError &) {
-        return Disposition::infeasible;
-    } catch (const std::exception &) {
-        return Disposition::needEval;
-    }
-
-    const auto moe = cache.probeMoeForward(entry.moeId);
-    if (moe.status == Status::userError)
-        return Disposition::infeasible;
-    if (moe.status == Status::error)
-        return Disposition::needEval;
-    const auto grad = cache.probeGrad(mi.gradId);
-    if (grad.status == Status::userError)
-        return Disposition::infeasible;
-    if (grad.status == Status::error)
-        return Disposition::needEval;
-    if (ji.nbKind == kUserError)
-        return Disposition::infeasible;
-    if (ji.nbKind == kError)
-        return Disposition::needEval;
-
-    // Additive reassembly of the exact per-batch time (the same
-    // terms the kernel computes, associated slightly differently).
-    const double cf = fwd.value / mi.workers;
-    const double cb = sc.bwdCompute * fwd.value / mi.workers;
-    const double wu = upd.value / mi.workers;
-    const double comm_tp_intra =
-        sc.fb * tp_intra_layer * sc.layersD * mi.stageOverlap;
-    const double comm_tp_inter =
-        sc.fb * tp_inter_layer * sc.layersD * mi.stageOverlap;
-    const double comm_pp = sc.fb * pp_layer * sc.layersD * sc.ppMult;
-    const double comm_moe = sc.fb * moe.value * mi.stageOverlap;
-    const double useful = cf + cb + comm_tp_intra + comm_tp_inter +
-                          comm_pp + comm_moe;
-    double bubble = 0.0;
-    if (mi.pp > 1)
-        bubble =
-            sc.bubbleRatio * (mi.ppD - 1.0) / entry.nub * useful;
-    const double time_per_batch = useful + wu + grad.value +
-                                  grad.value2 + bubble;
-    const double total = ji.numBatches * time_per_batch;
-    if (!std::isfinite(total))
-        return Disposition::needEval; // Will NaN-pin; key +infinity.
-    bound = total - kBoundMargin * std::abs(total);
-    return Disposition::needEval;
 }
 
 } // namespace
@@ -312,20 +160,13 @@ Optimizer::optimizeOver(
         return out;
     }
 
-    BoundScalars sc;
-    const auto &options = model_.options();
-    sc.layersD =
-        static_cast<double>(model_.opCounter().config().numLayers);
-    sc.bwdCompute = options.backwardComputeMultiplier;
-    sc.fb = (1.0 + options.zeroDpOverhead) *
-            (1.0 + options.backwardCommMultiplier);
-    sc.ppMult = options.ppCommMultiplier;
-    sc.bubbleRatio = options.bubbleOverlapRatio;
-
-    // ---- Screen + bound every grid point (parallel, pure). ---------
-    // Each mapping's task keeps its own survivors as a min-heap on
-    // (bound, grid index), so no state grows with the grid but the
-    // survivors themselves, and no serial pass walks the points.
+    // ---- Screen and key every grid point (parallel, pure). ---------
+    // Each point goes through the kernel's one per-point evaluation,
+    // so a survivor's key is its exact total time (+infinity when it
+    // will NaN-pin).  Each mapping's task keeps its own survivors as a
+    // min-heap on (key, grid index), so no state grows with the grid
+    // but the survivors themselves, and no serial pass walks the
+    // points.
     std::vector<MappingScreen> screens(mappings.size());
     const unsigned workers =
         threads_ > 0 ? threads_ : ThreadPool::defaultThreadCount();
@@ -333,16 +174,19 @@ Optimizer::optimizeOver(
         mappings.size(), /*chunk=*/16,
         [&](std::size_t m) {
             MappingScreen &screen = screens[m];
+            SweepKernel::Outcome point;
             for (std::size_t j = 0; j < num_jobs; ++j) {
-                double bound = kInf;
-                switch (screenPoint(kernel, sc, m, j, bound)) {
-                case Disposition::needEval:
-                    screen.heap.push_back({bound, m * num_jobs + j});
+                kernel.evaluatePoint(m, j, point);
+                switch (point.status) {
+                case PointStatus::feasible:
+                case PointStatus::failedPoint:
+                    screen.heap.push_back(
+                        {point.rankKey(), m * num_jobs + j});
                     break;
-                case Disposition::infeasible:
+                case PointStatus::infeasible:
                     ++screen.skippedInfeasible;
                     break;
-                case Disposition::overMemory:
+                case PointStatus::overMemory:
                     ++screen.prunedByMemory;
                     break;
                 }
@@ -358,12 +202,11 @@ Optimizer::optimizeOver(
         return out;
     }
 
-    // Best-first: ascending bound, grid order among equals.  The
-    // visit merges the mapping heaps lazily through a heap of the
-    // mappings that still hold survivors, ordered by their heads, so
-    // it ranks only as far as it reads.  (bound, grid index) is a
-    // strict total order, so the merged sequence is exactly a full
-    // sort's.
+    // Best-first: ascending key, grid order among equals.  The visit
+    // merges the mapping heaps lazily through a heap of the mappings
+    // that still hold survivors, ordered by their heads, so it ranks
+    // only as far as it reads.  (key, grid index) is a strict total
+    // order, so the merged sequence is exactly a full sort's.
     std::vector<std::size_t> open;
     std::size_t survivors = 0;
     for (std::size_t m = 0; m < screens.size(); ++m) {
@@ -400,7 +243,7 @@ Optimizer::optimizeOver(
             return RunStatus::Completed;
         // THE wave-boundary checkpoint: the only deterministic stop
         // point of the search.  Waves are built from the (thread-
-        // count-independent) bound order, so "stop before wave N"
+        // count-independent) key order, so "stop before wave N"
         // yields identical best-so-far results on any machine.
         const RunStatus stop = token_.checkpoint();
         if (stop != RunStatus::Completed)
@@ -416,11 +259,11 @@ Optimizer::optimizeOver(
             SweepKernel::Outcome &outcome = outcomes[i];
             ++out.counters.evaluated;
             Candidate candidate;
+            candidate.key = outcome.rankKey();
             candidate.gridIndex = index;
             switch (outcome.status) {
             case PointStatus::feasible:
                 ++out.counters.feasible;
-                candidate.key = outcome.result.totalTime;
                 break;
             case PointStatus::infeasible:
                 ++out.counters.infeasible;
@@ -435,7 +278,6 @@ Optimizer::optimizeOver(
                           jobs[index % num_jobs].batchSize,
                           " failed (", outcome.failure,
                           "); pinning it to nan");
-                candidate.key = kInf;
                 break;
             }
             }
@@ -459,11 +301,12 @@ Optimizer::optimizeOver(
     std::size_t consumed = 0; // Survivors dispositioned so far.
     RunStatus search = RunStatus::Completed;
     while (!open.empty()) {
-        // Strictly-greater prune: a bound above the k-th best key
-        // means the exact time is strictly above it too (bound <=
-        // exact), so the point cannot displace any ranked entry.
-        // The threshold only moves at a flush, and a flush needs an
-        // unpruned point; bounds ascend along the visit, so once one
+        // Strictly-greater prune: a key above the k-th best key is an
+        // exact time above it, so the point cannot displace any
+        // ranked entry.  A tie is still evaluated (DESIGN.md
+        // "Branch-and-bound over the additive model" says why).  The
+        // threshold only moves at a flush, and a flush needs an
+        // unpruned point; keys ascend along the visit, so once one
         // point prunes, every later one does too.  The unmerged rest
         // is counted without being ranked or visited.
         const RankedIndex head = screens[open.front()].heap.front();
@@ -529,7 +372,7 @@ Optimizer::optimizeOver(
             best.result.microbatchSize);
         const core::HeterogeneousPipelineModel hetero(
             model_.opCounter(), stages, model_.system().interLink,
-            options.backwardComputeMultiplier);
+            model_.options().backwardComputeMultiplier);
         core::TrainingJob job = request.jobTemplate;
         job.batchSize = best.batchSize /
                         static_cast<double>(best.mapping.dp());

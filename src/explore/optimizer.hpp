@@ -7,33 +7,32 @@
  * the paper actually poses — "which mapping is fastest?" — without
  * paying for the full grid:
  *
- *  1. Feasibility screen.  Every grid point is classified from the
- *     SweepKernel's constant tables before any evaluation: points
- *     whose mapping, job or microbatching provably fail validation
- *     are skipped outright, and (with a memory model) points whose
- *     footprint exceeds the device capacity are pruned without
- *     touching the evaluator; the kernel checks the footprint once
- *     per (degree shape, job) cell, not once per point.
- *  2. Admissible lower bounds.  The additive model's total is a sum
- *     of nonnegative terms, every one of which is an O(1) lookup in
- *     the primed core::SweepTermCache or a cheap closed form.
- *     Re-assembling them per point (scaled down by a 1e-9 relative
- *     margin to absorb floating-point reassociation) yields a lower
- *     bound on the point's total training time that never exceeds
- *     the batch engine's exact value (DESIGN.md "Branch-and-bound
- *     over the additive model" proves admissibility).
+ *  1. Feasibility screen.  Every grid point goes once through
+ *     SweepKernel::evaluatePoint, the kernel's one per-point path, in
+ *     parallel: points whose mapping, job or microbatching fail
+ *     validation are skipped outright, and (with a memory model)
+ *     points whose footprint exceeds the device capacity are pruned;
+ *     the kernel checks the footprint once per (degree shape, job)
+ *     cell, not once per point.
+ *  2. Exact keys.  Each survivor is keyed by
+ *     SweepKernel::Outcome::rankKey: its total training time, bit
+ *     for bit the totalTime that sweepAll and evaluate() report
+ *     (all three assemble through core::AmpedModel::assemble), or
+ *     +infinity for a point that will NaN-pin.  The per-point work is
+ *     O(1): table and term-cache lookups, three closed forms and the
+ *     assembly.
  *  3. Best-first waves.  Surviving points are visited in ascending
- *     bound order in fixed-size waves: a point whose bound exceeds
- *     the current k-th best exact time is pruned; the rest are
- *     evaluated through the batched SoA kernel, bit-identically to
- *     Explorer::sweepAll.  Wave boundaries are independent of the
+ *     key order in fixed-size waves: a point whose key exceeds the
+ *     current k-th best key is pruned; the rest are evaluated through
+ *     the same kernel, bit-identically to Explorer::sweepAll, for
+ *     their full results.  Wave boundaries are independent of the
  *     thread count, so results AND counters are deterministic.  The
  *     screen keeps each mapping's survivors in a min-heap of its
  *     own, and the visit merges those heaps lazily by their heads,
  *     so no array the size of the grid is built or ranked.  The
- *     first bound-prune counts every survivor not yet visited as
- *     pruned: the threshold moves only at a wave flush, so every
- *     later point would prune too.
+ *     first prune counts every survivor not yet visited as pruned:
+ *     the threshold moves only at a wave flush, so every later point
+ *     would prune too.
  *
  * The returned top-k is bit-pattern-identical to sorting the full
  * exhaustive sweep by (total time, grid index) and truncating —
@@ -118,7 +117,7 @@ struct OptimizerCounters
     std::size_t cells = 0;      ///< (dp, pp)-class x job cells.
     std::size_t evaluated = 0;  ///< Reached the exact batch kernel.
     std::size_t prunedByMemory = 0; ///< Memory screen said no.
-    std::size_t prunedByBound = 0;  ///< Lower bound beat k-th best.
+    std::size_t prunedByBound = 0;  ///< Key beat the k-th best.
     std::size_t skippedInfeasible = 0; ///< Provably invalid points.
     std::size_t feasible = 0;   ///< Evaluated, got a result.
     std::size_t infeasible = 0; ///< Evaluated, UserError.

@@ -82,92 +82,6 @@ struct JobKeys
 
 } // namespace
 
-/**
- * Output columns for one block of grid points (structure of arrays).
- * Raw doubles on purpose: Quantity types are unwrapped at this
- * boundary and re-wrapped when the block is reduced, the same
- * boundary core::Breakdown draws for the scalar path.  The struct
- * lives in this translation unit only — raw-double columns with
- * dimension-implying names never enter a public header (the
- * tools/lint_units "Quantity boundary rule").
- */
-struct BlockColumns
-{
-    std::vector<PointStatus> status;
-    std::vector<std::string> failures;
-    std::vector<double> computeForward;
-    std::vector<double> computeBackward;
-    std::vector<double> weightUpdate;
-    std::vector<double> commTpIntra;
-    std::vector<double> commTpInter;
-    std::vector<double> commPp;
-    std::vector<double> commMoe;
-    std::vector<double> commGradIntra;
-    std::vector<double> commGradInter;
-    std::vector<double> bubble;
-    std::vector<double> timePerBatch;
-    std::vector<double> numBatches;
-    std::vector<double> totalTime;
-    std::vector<double> microbatchSize;
-    std::vector<double> numMicrobatches;
-    std::vector<double> efficiency;
-    std::vector<double> achievedFlopsPerGpu;
-    std::vector<double> tokensPerSecond;
-
-    void resize(std::size_t n)
-    {
-        status.assign(n, PointStatus::infeasible);
-        failures.assign(n, std::string());
-        computeForward.assign(n, 0.0);
-        computeBackward.assign(n, 0.0);
-        weightUpdate.assign(n, 0.0);
-        commTpIntra.assign(n, 0.0);
-        commTpInter.assign(n, 0.0);
-        commPp.assign(n, 0.0);
-        commMoe.assign(n, 0.0);
-        commGradIntra.assign(n, 0.0);
-        commGradInter.assign(n, 0.0);
-        bubble.assign(n, 0.0);
-        timePerBatch.assign(n, 0.0);
-        numBatches.assign(n, 0.0);
-        totalTime.assign(n, 0.0);
-        microbatchSize.assign(n, 0.0);
-        numMicrobatches.assign(n, 0.0);
-        efficiency.assign(n, 0.0);
-        achievedFlopsPerGpu.assign(n, 0.0);
-        tokensPerSecond.assign(n, 0.0);
-    }
-};
-
-namespace {
-
-/** Copies one feasible slot's columns into an EvaluationResult. */
-void
-packResult(const BlockColumns &cols, std::size_t slot,
-           core::EvaluationResult &r)
-{
-    r.perBatch.computeForward = cols.computeForward[slot];
-    r.perBatch.computeBackward = cols.computeBackward[slot];
-    r.perBatch.weightUpdate = cols.weightUpdate[slot];
-    r.perBatch.commTpIntra = cols.commTpIntra[slot];
-    r.perBatch.commTpInter = cols.commTpInter[slot];
-    r.perBatch.commPp = cols.commPp[slot];
-    r.perBatch.commMoe = cols.commMoe[slot];
-    r.perBatch.commGradIntra = cols.commGradIntra[slot];
-    r.perBatch.commGradInter = cols.commGradInter[slot];
-    r.perBatch.bubble = cols.bubble[slot];
-    r.timePerBatch = cols.timePerBatch[slot];
-    r.numBatches = cols.numBatches[slot];
-    r.totalTime = cols.totalTime[slot];
-    r.microbatchSize = cols.microbatchSize[slot];
-    r.numMicrobatches = cols.numMicrobatches[slot];
-    r.efficiency = cols.efficiency[slot];
-    r.achievedFlopsPerGpu = cols.achievedFlopsPerGpu[slot];
-    r.tokensPerSecond = cols.tokensPerSecond[slot];
-}
-
-} // namespace
-
 core::EvaluationResult
 nanPinnedResult()
 {
@@ -204,16 +118,6 @@ SweepKernel::SweepKernel(
       jobs_(jobs), token_(std::move(token)), cache_(model)
 {
     const auto &cfg = model_.opCounter().config();
-    layersD_ = static_cast<double>(cfg.numLayers);
-    seqD_ = static_cast<double>(cfg.seqLength);
-    const auto &options = model_.options();
-    bwdCompute_ = options.backwardComputeMultiplier;
-    const double zero_factor = 1.0 + options.zeroDpOverhead;
-    const double bwd_factor = options.backwardCommMultiplier;
-    fb_ = zero_factor * (1.0 + bwd_factor);
-    ppMult_ = options.ppCommMultiplier;
-    bubbleRatio_ = options.bubbleOverlapRatio;
-
     const std::size_t num_jobs = jobs_.size();
 
     // ---- Per-mapping constants, (dp, pp) class and memory shape. ---
@@ -235,14 +139,6 @@ SweepKernel::SweepKernel(
             info.kind = kError;
             info.message = e.what();
         }
-        info.pp = m.pp();
-        info.ppD = static_cast<double>(m.pp());
-        info.stageOverlap = 1.0 / static_cast<double>(m.pp());
-        info.workers = static_cast<double>(m.totalWorkers());
-        info.tpIntra = m.tpIntra;
-        info.tpInter = m.tpInter;
-        info.ppIntra = m.ppIntra;
-        info.ppInter = m.ppInter;
         if (info.kind == kOk)
             info.gradId = cache_.registerGrad(m);
         const DpPpKey key{m.dp(), m.pp()};
@@ -254,9 +150,7 @@ SweepKernel::SweepKernel(
                 static_cast<std::uint32_t>(class_representative.size());
             class_ids.emplace(key, info.classIdx);
             class_representative.push_back(i);
-            classMembers_.emplace_back();
         }
-        classMembers_[info.classIdx].push_back(i);
         if (memoryModel_ == nullptr)
             continue;
         try {
@@ -274,6 +168,7 @@ SweepKernel::SweepKernel(
         info.shapeIdx = at->second;
     }
     const std::size_t num_classes = class_representative.size();
+    numClasses_ = num_classes;
     numShapes_ = shapes.size();
 
     // ---- Per-job constants. ----------------------------------------
@@ -431,38 +326,51 @@ SweepKernel::SweepKernel(
 }
 
 void
-SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
-                               BlockColumns &cols) const
+SweepKernel::evaluatePoint(std::size_t mapping_index, std::size_t job_index,
+                           Outcome &out) const
 {
-    const std::size_t num_jobs = jobs_.size();
-    const MappingInfo &mi = mappingInfos_[index / num_jobs];
-    const JobInfo &ji = jobInfos_[index % num_jobs];
-    const JcEntry &entry =
-        jc_[mi.classIdx * num_jobs + index % num_jobs];
+    const mapping::ParallelismConfig &mapping = mappings_[mapping_index];
+    const MappingInfo &mi = mappingInfos_[mapping_index];
+    const JobInfo &ji = jobInfos_[job_index];
+    const JcEntry &row = jc_[mi.classIdx * jobs_.size() + job_index];
 
-    const auto fail = [&](const std::string &message) {
-        cols.status[slot] = PointStatus::failedPoint;
-        cols.failures[slot] = message;
+    // A step that throws UserError leaves the point infeasible (the
+    // status set here); any other failure NaN-pins it with the text.
+    out.status = PointStatus::infeasible;
+    const auto fail = [&out](const std::string &message) {
+        out.status = PointStatus::failedPoint;
+        out.failure = message;
+        out.result = nanPinnedResult();
+    };
+    // True when a cache entry recorded a failure, which ends the point.
+    const auto stopsAt = [&](const core::SweepTermCache::Entry &entry) {
+        using Recorded = core::SweepTermCache::Outcome;
+        if (entry.outcome == Recorded::ok)
+            return false;
+        AMPED_ASSERT(entry.outcome != Recorded::pending,
+                     "SweepTermCache entry read before prime()");
+        if (entry.outcome == Recorded::error)
+            fail(entry.message);
+        return true;
     };
 
-    // The scalar path's exact step order: with a memory model the
-    // microbatch size and the fit check run before any mapping /
-    // job validation (Explorer's screening lambda), otherwise the
-    // microbatch size is first derived inside evaluate(), after
-    // the validations.
+    // evaluate()'s exact step order: with a memory model the
+    // microbatch size and the fit check run before any mapping / job
+    // validation (Explorer's screening lambda), otherwise the
+    // microbatch size is first derived inside evaluate(), after the
+    // validations.
     if (memoryModel_ != nullptr) {
-        if (entry.ubKind == kUserError)
-            return; // infeasible (the default status)
-        if (entry.ubKind == kError)
-            return fail(messages_[entry.messageId]);
-        const MemoryCell &cell =
-            memoryCell(index / num_jobs, index % num_jobs);
+        if (row.ubKind == kUserError)
+            return;
+        if (row.ubKind == kError)
+            return fail(messages_[row.messageId]);
+        const MemoryCell &cell = memoryCell(mapping_index, job_index);
         if (cell.kind == kUserError)
             return;
         if (cell.kind == kError)
             return fail(messages_[cell.messageId]);
         if (!cell.fits) {
-            cols.status[slot] = PointStatus::overMemory;
+            out.status = PointStatus::overMemory;
             return;
         }
     }
@@ -475,113 +383,63 @@ SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
     if (ji.validKind == kError)
         return fail(ji.validMessage);
     if (memoryModel_ == nullptr) {
-        if (entry.ubKind == kUserError)
+        if (row.ubKind == kUserError)
             return;
-        if (entry.ubKind == kError)
-            return fail(messages_[entry.messageId]);
+        if (row.ubKind == kError)
+            return fail(messages_[row.messageId]);
     }
-    if (entry.preKind == kUserError)
+    if (row.preKind == kUserError)
         return;
-    if (entry.preKind == kError)
-        return fail(messages_[entry.messageId]);
+    if (row.preKind == kError)
+        return fail(messages_[row.messageId]);
 
+    core::PointTerms terms;
+    terms.batch = ji.batch;
+    terms.microbatchSize = row.ub;
+    terms.numMicrobatches = row.nub;
+    terms.efficiency = row.eff;
+    const auto &forward = cache_.forwardCompute(row.fwdId);
+    if (stopsAt(forward))
+        return;
+    terms.forwardCompute = Seconds{forward.value};
+    const auto &update = cache_.weightUpdate(row.updId);
+    if (stopsAt(update))
+        return;
+    terms.weightUpdate = Seconds{update.value};
     try {
-        // Mirrors evaluate()'s assembly expression by expression;
-        // Quantity math unwraps into the raw columns exactly
-        // where the scalar path unwraps into Breakdown.
-        const Seconds fwd_total =
-            cache_.forwardComputeTotal(entry.fwdId);
-        const Seconds update_total =
-            cache_.weightUpdateTotal(entry.updId);
-        const double compute_forward =
-            (fwd_total / mi.workers).value();
-        const double compute_backward =
-            (bwdCompute_ * fwd_total / mi.workers).value();
-        cols.computeForward[slot] = compute_forward;
-        cols.computeBackward[slot] = compute_backward;
-        cols.weightUpdate[slot] =
-            (update_total / mi.workers).value();
-
-        const Seconds tp_intra_layer =
-            cache_.tpIntraCommTime(mi.tpIntra, entry.replicaBatch);
-        const Seconds tp_inter_layer =
-            cache_.tpInterCommTime(mi.tpInter, entry.replicaBatch);
-        const Seconds pp_layer = cache_.ppCommTime(
-            mi.ppIntra, mi.ppInter, entry.replicaBatch);
-        const Seconds moe_total =
-            cache_.moeForwardTotal(entry.moeId);
-        const double comm_tp_intra =
-            (fb_ * tp_intra_layer * layersD_ * mi.stageOverlap)
-                .value();
-        const double comm_tp_inter =
-            (fb_ * tp_inter_layer * layersD_ * mi.stageOverlap)
-                .value();
-        const double comm_pp =
-            (fb_ * pp_layer * layersD_ * ppMult_).value();
-        const double comm_moe =
-            (fb_ * moe_total * mi.stageOverlap).value();
-        cols.commTpIntra[slot] = comm_tp_intra;
-        cols.commTpInter[slot] = comm_tp_inter;
-        cols.commPp[slot] = comm_pp;
-        cols.commMoe[slot] = comm_moe;
-
-        const core::SweepTermCache::GradTotals grad =
-            cache_.gradTotals(mi.gradId);
-        cols.commGradIntra[slot] = grad.intra.value();
-        cols.commGradInter[slot] = grad.inter.value();
-
-        double bubble = 0.0;
-        if (mi.pp > 1) {
-            const double useful = compute_forward +
-                                  compute_backward + comm_tp_intra +
-                                  comm_tp_inter + comm_pp +
-                                  comm_moe;
-            bubble = bubbleRatio_ * (mi.ppD - 1.0) / entry.nub *
-                     useful;
-        }
-        cols.bubble[slot] = bubble;
-
-        // Breakdown::total() over the same ten columns.
-        core::Breakdown bd;
-        bd.computeForward = compute_forward;
-        bd.computeBackward = compute_backward;
-        bd.weightUpdate = cols.weightUpdate[slot];
-        bd.commTpIntra = comm_tp_intra;
-        bd.commTpInter = comm_tp_inter;
-        bd.commPp = comm_pp;
-        bd.commMoe = comm_moe;
-        bd.commGradIntra = cols.commGradIntra[slot];
-        bd.commGradInter = cols.commGradInter[slot];
-        bd.bubble = bubble;
-        const double time_per_batch = bd.total();
-        cols.timePerBatch[slot] = time_per_batch;
-
-        // evaluate() derives N_batch here; reproduce its failure
-        // position so exception classification matches.
-        if (ji.nbKind == kUserError)
-            return;
-        if (ji.nbKind == kError)
-            return fail(ji.nbMessage);
-        cols.numBatches[slot] = ji.numBatches;
-        cols.totalTime[slot] = ji.numBatches * time_per_batch;
-        cols.microbatchSize[slot] = entry.ub;
-        cols.numMicrobatches[slot] = entry.nub;
-        cols.efficiency[slot] = entry.eff;
-        cols.achievedFlopsPerGpu[slot] =
-            cache_.modelFlopsPerBatch(ji.flopsId) /
-            (time_per_batch * mi.workers);
-        cols.tokensPerSecond[slot] =
-            ji.batch * seqD_ / time_per_batch;
+        terms.tpIntraLayer =
+            model_.tpIntraCommTime(mapping, row.replicaBatch);
+        terms.tpInterLayer =
+            model_.tpInterCommTime(mapping, row.replicaBatch);
+        terms.ppLayer = model_.ppCommTime(mapping, row.replicaBatch);
     } catch (const UserError &) {
-        cols.status[slot] = PointStatus::infeasible;
         return;
     } catch (const std::exception &e) {
         return fail(e.what());
     }
+    const auto &moe = cache_.moeForward(row.moeId);
+    if (stopsAt(moe))
+        return;
+    terms.moeForward = Seconds{moe.value};
+    const auto &grad = cache_.grad(mi.gradId);
+    if (stopsAt(grad))
+        return;
+    terms.gradIntra = Seconds{grad.value};
+    terms.gradInter = Seconds{grad.value2};
+    if (ji.nbKind == kUserError)
+        return;
+    if (ji.nbKind == kError)
+        return fail(ji.nbMessage);
+    terms.numBatches = ji.numBatches;
+    const auto &flops = cache_.modelFlops(ji.flopsId);
+    if (stopsAt(flops))
+        return;
+    terms.modelFlops = Flops{flops.value};
 
-    if (!std::isfinite(cols.totalTime[slot]))
+    out.result = model_.assemble(mapping, terms);
+    if (!std::isfinite(out.result.totalTime))
         return fail("non-finite total time");
-    cols.status[slot] = PointStatus::feasible;
+    out.status = PointStatus::feasible;
 }
 
 SweepResult
@@ -602,7 +460,10 @@ SweepKernel::sweepGrid(unsigned max_workers) const
     // of which holds the old and the new buffer at once).
     out.entries.reserve(count);
 
-    BlockColumns cols;
+    // One slot per point of a block.  evaluatePoint writes every field
+    // the reduction reads for the slot's status, so the slots are
+    // reused from block to block without a reset.
+    std::vector<Outcome> slots(std::min(kSweepBlockPoints, count));
     for (std::size_t base = 0; base < count;
          base += kSweepBlockPoints) {
         // THE deterministic cancellation point: exactly one
@@ -617,8 +478,6 @@ SweepKernel::sweepGrid(unsigned max_workers) const
 
         const std::size_t block =
             std::min(kSweepBlockPoints, count - base);
-        cols.resize(block);
-
         const std::size_t chunks =
             (block + kPointChunk - 1) / kPointChunk;
         const RunStatus loop = ThreadPool::shared().parallelFor(
@@ -627,14 +486,21 @@ SweepKernel::sweepGrid(unsigned max_workers) const
                 const std::size_t begin = chunk_index * kPointChunk;
                 const std::size_t end =
                     std::min(begin + kPointChunk, block);
-                for (std::size_t slot = begin; slot < end; ++slot)
-                    evaluatePointInto(base + slot, slot, cols);
+                std::size_t m = (base + begin) / num_jobs;
+                std::size_t j = (base + begin) % num_jobs;
+                for (std::size_t slot = begin; slot < end; ++slot) {
+                    evaluatePoint(m, j, slots[slot]);
+                    if (++j == num_jobs) {
+                        j = 0;
+                        ++m;
+                    }
+                }
             },
             token_,
             max_workers > 0 ? max_workers
                             : ThreadPool::defaultThreadCount());
         if (loop != RunStatus::Completed) {
-            // Mid-block stop: the block's columns are torn, so it is
+            // Mid-block stop: the block's slots are torn, so it is
             // discarded whole — the published prefix stays exact.
             out.status = loop;
             out.cancelledUnvisited = count - base;
@@ -646,12 +512,13 @@ SweepKernel::sweepGrid(unsigned max_workers) const
         // thread count.
         for (std::size_t slot = 0; slot < block; ++slot) {
             const std::size_t index = base + slot;
-            switch (cols.status[slot]) {
+            const Outcome &point = slots[slot];
+            switch (point.status) {
             case PointStatus::feasible: {
                 SweepEntry entry;
                 entry.mapping = mappings_[index / num_jobs];
                 entry.batchSize = jobs_[index % num_jobs].batchSize;
-                packResult(cols, slot, entry.result);
+                entry.result = point.result;
                 out.entries.push_back(std::move(entry));
                 break;
             }
@@ -666,12 +533,12 @@ SweepKernel::sweepGrid(unsigned max_workers) const
                 const double batch =
                     jobs_[index % num_jobs].batchSize;
                 log::warn("sweep point ", m.toString(), " batch ",
-                          batch, " failed (", cols.failures[slot],
+                          batch, " failed (", point.failure,
                           "); pinning it to nan");
                 SweepEntry entry;
                 entry.mapping = m;
                 entry.batchSize = batch;
-                entry.result = nanPinnedResult();
+                entry.result = point.result;
                 out.entries.push_back(std::move(entry));
                 ++out.failed;
                 break;
@@ -690,11 +557,8 @@ SweepKernel::evaluatePoints(const std::vector<std::size_t> &indices,
 {
     if (primeStatus_ != RunStatus::Completed)
         return primeStatus_;
+    const std::size_t num_jobs = jobs_.size();
     const std::size_t count = indices.size();
-    if (count == 0)
-        return RunStatus::Completed;
-
-    BlockColumns cols;
     for (std::size_t base = 0; base < count;
          base += kSweepBlockPoints) {
         // Passive poll only — checkpoint discipline belongs to the
@@ -705,8 +569,8 @@ SweepKernel::evaluatePoints(const std::vector<std::size_t> &indices,
 
         const std::size_t block =
             std::min(kSweepBlockPoints, count - base);
-        cols.resize(block);
-
+        const std::size_t first = outcomes.size();
+        outcomes.resize(first + block);
         const std::size_t chunks =
             (block + kPointChunk - 1) / kPointChunk;
         const RunStatus loop = ThreadPool::shared().parallelFor(
@@ -715,32 +579,18 @@ SweepKernel::evaluatePoints(const std::vector<std::size_t> &indices,
                 const std::size_t begin = chunk_index * kPointChunk;
                 const std::size_t end =
                     std::min(begin + kPointChunk, block);
-                for (std::size_t slot = begin; slot < end; ++slot)
-                    evaluatePointInto(indices[base + slot], slot,
-                                      cols);
+                for (std::size_t slot = begin; slot < end; ++slot) {
+                    const std::size_t index = indices[base + slot];
+                    evaluatePoint(index / num_jobs, index % num_jobs,
+                                  outcomes[first + slot]);
+                }
             },
             token_,
             max_workers > 0 ? max_workers
                             : ThreadPool::defaultThreadCount());
-        if (loop != RunStatus::Completed)
-            return loop; // Torn block: discard, outcomes untouched.
-
-        for (std::size_t slot = 0; slot < block; ++slot) {
-            Outcome outcome;
-            outcome.status = cols.status[slot];
-            switch (cols.status[slot]) {
-            case PointStatus::feasible:
-                packResult(cols, slot, outcome.result);
-                break;
-            case PointStatus::failedPoint:
-                outcome.failure = std::move(cols.failures[slot]);
-                outcome.result = nanPinnedResult();
-                break;
-            case PointStatus::infeasible:
-            case PointStatus::overMemory:
-                break;
-            }
-            outcomes.push_back(std::move(outcome));
+        if (loop != RunStatus::Completed) {
+            outcomes.resize(first); // Torn block: discard it whole.
+            return loop;
         }
     }
     return RunStatus::Completed;

@@ -9,12 +9,12 @@
  * (mappings x jobs) grid:
  *
  *  1. Enumerate the grid's distinct sub-problems: per-mapping facts
- *     (MappingInfo: worker counts, parallelism degrees, grad-comm
- *     class), per-job facts (JobInfo: batch size, batch count), the
- *     (job x (dp, pp)-class) table of microbatching facts (JcEntry:
- *     microbatch size, microbatch count, efficiency, per-replica
- *     batch) and, with a memory model, the (shape x job) table of
- *     memory-fit outcomes (MemoryCell).  Two mappings share a class
+ *     (MappingInfo: validation outcome, class, memory shape,
+ *     grad-comm entry), per-job facts (JobInfo: batch size, batch
+ *     count), the (job x (dp, pp)-class) table of microbatching facts
+ *     (JcEntry: microbatch size, microbatch count, efficiency,
+ *     per-replica batch) and, with a memory model, the (shape x job)
+ *     table of memory-fit outcomes (MemoryCell).  Two mappings share a class
  *     when they agree on the total data-parallel and pipeline
  *     degrees; within a class every compute term of the additive
  *     model is constant and only the communication terms vary with
@@ -32,16 +32,17 @@
  *     in one serial pass, slot-major and job-minor (see the class
  *     comment), write the term ids into the rows in parallel, and
  *     prime the cache once, in parallel.
- *  3. Evaluate points in fixed-size blocks of contiguous raw-double
- *     columns (structure of arrays): each worker fills the output
- *     columns for a chunk of points with O(1) work per point —
- *     cached-sum lookups plus the cheap closed-form per-point terms.
- *     Quantity types are unwrapped at the column boundary and
- *     re-wrapped at reduction, exactly as the scalar path unwraps
- *     them into core::Breakdown.  The per-point evaluator classifies
- *     a point as feasible / infeasible / over-memory / failed the same
- *     way whether it is reached by the full-grid block sweep
- *     (sweepGrid) or by an index list (evaluatePoints).
+ *  3. Evaluate a point with one function, evaluatePoint, in
+ *     AmpedModel::evaluate's step order: it reads the tables' recorded
+ *     failures, the cache's sums (each lookup carries its entry's
+ *     failure category and text) and the model's three per-layer
+ *     closed forms, stops at the first failing step (a UserError
+ *     leaves the point infeasible, any other failure NaN-pins it),
+ *     and hands a surviving point's terms to core::AmpedModel::
+ *     assemble, the function evaluate() itself ends with.  O(1) work
+ *     per point.  sweepGrid runs it over the grid in fixed-size
+ *     blocks of per-slot Outcomes on the shared pool, evaluatePoints
+ *     over an index list, and the optimizer's screen point by point.
  *  4. sweepGrid reduces each block serially in grid order into a
  *     SweepResult.
  *
@@ -51,15 +52,14 @@
  * warning lines — at every thread count (see the bit-exactness
  * contract in core/batch_terms.hpp).  The kernel exists purely for
  * throughput: the goldens and the property tests in
- * tests/test_explore_batch.cpp hold it to the bytes of a plain
- * per-point loop kept in the tests (tests/reference_sweep.hpp).
+ * tests/test_explore_batch.cpp hold it to the bytes of a per-point
+ * loop over the per-layer oracle kept in the tests
+ * (tests/reference_sweep.hpp, tests/reference_model.hpp).
  *
- * The class tables, the memory table and the term cache are
- * deliberately exposed read-only: the optimizer's screen classifies
- * points from exactly these values and assembles its admissible
- * lower bounds from them (DESIGN.md "Branch-and-bound over the
- * additive model"), so any change to the evaluation order here is a
- * change to the screen's and the bound's contract as well.
+ * The optimizer's screen keys each point by Outcome::rankKey of this
+ * same evaluation, so its key is the exact total time (DESIGN.md
+ * "Branch-and-bound over the additive model"), and a change to the
+ * evaluation order here changes the screen alike.
  */
 
 #ifndef AMPED_EXPLORE_SWEEP_KERNEL_HPP
@@ -67,6 +67,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,8 +79,8 @@ namespace amped {
 namespace explore {
 
 /**
- * Points per SoA block: caps column memory at a few megabytes, and —
- * because sweepGrid calls CancelToken::checkpoint() exactly once per
+ * Points per block: caps a block's per-slot outcomes at ~12 MB, and
+ * — because sweepGrid calls CancelToken::checkpoint() exactly once per
  * block — defines the cancellation granularity: a stopped sweep's
  * result is always a whole number of blocks.
  */
@@ -105,8 +106,8 @@ enum class PointStatus : unsigned char
 enum FailKind : unsigned char
 {
     kOk = 0,
-    kUserError = 1, ///< Scalar path throws UserError here.
-    kError = 2      ///< Scalar path throws another std::exception.
+    kUserError = 1, ///< evaluate() throws UserError here.
+    kError = 2      ///< evaluate() throws another std::exception.
 };
 
 /** MappingInfo::shapeIdx of a mapping that has no memory shape. */
@@ -124,15 +125,7 @@ struct MappingInfo
      * UserError: such a mapping's points are infeasible).
      */
     std::uint32_t shapeIdx = kNoShape;
-    double workers = 0.0; ///< double(totalWorkers()).
-    double ppD = 0.0;     ///< double(pp()).
-    double stageOverlap = 0.0; ///< 1.0 / double(pp()).
-    std::int64_t pp = 1;
-    std::int64_t tpIntra = 1;
-    std::int64_t tpInter = 1;
-    std::int64_t ppIntra = 1;
-    std::int64_t ppInter = 1;
-    std::size_t gradId = 0;
+    std::size_t gradId = 0; ///< Term-cache id, set when kind is kOk.
 };
 
 /** Grid-constant facts about one job. */
@@ -180,7 +173,7 @@ struct JcEntry
  * core::MemoryModel::fits for the shape, the job's batch and the
  * shape's class's microbatch size.  Set only where that microbatch
  * size exists (the class row's ubKind is kOk); the per-point
- * evaluator and the optimizer's screen read it only there.
+ * evaluator reads it only there.
  */
 struct MemoryCell
 {
@@ -189,9 +182,6 @@ struct MemoryCell
     /** Message-table index of a kError failure's what(). */
     std::uint32_t messageId = 0;
 };
-
-/** SoA output columns for one block of points (sweep_kernel.cpp). */
-struct BlockColumns;
 
 /**
  * One grid's evaluation state: constant tables, primed term cache
@@ -242,17 +232,42 @@ class SweepKernel
      */
     RunStatus primeStatus() const { return primeStatus_; }
 
-    /** Outcome of evaluating one grid point exactly. */
+    /**
+     * Outcome of evaluating one grid point exactly.  evaluatePoint
+     * writes the status always, the failure text and the result only
+     * where they are valid; a fresh Outcome holds an empty text and a
+     * zero result elsewhere.
+     */
     struct Outcome
     {
         PointStatus status = PointStatus::infeasible;
         std::string failure; ///< Set when status == failedPoint.
         /** Valid when feasible; NaN-pinned when failed. */
         core::EvaluationResult result;
+
+        /**
+         * The key the point ranks by, for a feasible or failed point:
+         * its total time bit for bit, or +infinity when it failed.
+         */
+        double rankKey() const
+        {
+            return status == PointStatus::feasible
+                       ? result.totalTime
+                       : std::numeric_limits<double>::infinity();
+        }
     };
 
     /**
-     * Evaluates the whole grid with the SoA block loop and reduces it
+     * Evaluates one grid point exactly into @p out: the one per-point
+     * path behind sweepGrid, evaluatePoints and the optimizer's
+     * screen (see the file comment, step 3).  Const and thread-safe;
+     * call it only after a Completed prime (see primeStatus()).
+     */
+    void evaluatePoint(std::size_t mapping_index, std::size_t job_index,
+                       Outcome &out) const;
+
+    /**
+     * Evaluates the whole grid with the block loop and reduces it
      * in grid order — the engine behind Explorer::sweepJobs (the
      * byte-identity contract is in the file comment).
      *
@@ -264,7 +279,7 @@ class SweepKernel
 
     /**
      * Evaluates an arbitrary list of grid indices (index = mapping
-     * index * numJobs() + job index) and appends one Outcome per
+     * index * job count + job index) and appends one Outcome per
      * index, in list order.  Evaluation runs on the shared pool;
      * results are deterministic at any worker count.
      *
@@ -277,25 +292,13 @@ class SweepKernel
                              std::vector<Outcome> &outcomes,
                              unsigned max_workers) const;
 
-    std::size_t numMappings() const { return mappings_.size(); }
-    std::size_t numJobs() const { return jobs_.size(); }
     std::size_t numPoints() const
     {
         return mappings_.size() * jobs_.size();
     }
 
     /** Number of distinct (dp, pp) mapping classes. */
-    std::size_t numClasses() const { return classMembers_.size(); }
-
-    const MappingInfo &mappingInfo(std::size_t mapping_index) const
-    {
-        return mappingInfos_[mapping_index];
-    }
-
-    const JobInfo &jobInfo(std::size_t job_index) const
-    {
-        return jobInfos_[job_index];
-    }
+    std::size_t numClasses() const { return numClasses_; }
 
     const JcEntry &jcEntry(std::uint32_t class_index,
                            std::size_t job_index) const
@@ -303,6 +306,7 @@ class SweepKernel
         return jc_[class_index * jobs_.size() + job_index];
     }
 
+  private:
     /**
      * The memory screen's outcome for one grid point.  Meaningful
      * only with a memory model and where the point's class row has
@@ -319,46 +323,10 @@ class SweepKernel
                    : memory_[shape * jobs_.size() + job_index];
     }
 
-    /** Mapping indices belonging to one class, ascending. */
-    const std::vector<std::size_t> &
-    classMembers(std::uint32_t class_index) const
-    {
-        return classMembers_[class_index];
-    }
-
-    const core::TrainingJob &jobAt(std::size_t job_index) const
-    {
-        return jobs_[job_index];
-    }
-
-    /** The primed term cache (bound-side probes live here). */
-    const core::SweepTermCache &termCache() const { return cache_; }
-
-    const core::AmpedModel &model() const { return model_; }
-
-    /** The memory screen, or nullptr when screening is off. */
-    const core::MemoryModel *memoryScreen() const
-    {
-        return memoryModel_;
-    }
-
-  private:
-    /** The exact per-point evaluator (columns stay in the .cpp). */
-    void evaluatePointInto(std::size_t index, std::size_t slot,
-                           BlockColumns &cols) const;
-
     const core::AmpedModel &model_;
     const core::MemoryModel *memoryModel_;
     const std::vector<mapping::ParallelismConfig> &mappings_;
     const std::vector<core::TrainingJob> &jobs_;
-
-    // Model-option scalars hoisted once.
-    double layersD_ = 0.0;
-    double seqD_ = 0.0;
-    double bwdCompute_ = 0.0;
-    double fb_ = 0.0;
-    double ppMult_ = 0.0;
-    double bubbleRatio_ = 0.0;
 
     CancelToken token_;
     RunStatus primeStatus_ = RunStatus::Completed;
@@ -371,7 +339,7 @@ class SweepKernel
     std::vector<MemoryCell> memory_; ///< (shape x job), job fastest.
     /** JcEntry / MemoryCell messageId -> what(). */
     std::vector<std::string> messages_;
-    std::vector<std::vector<std::size_t>> classMembers_;
+    std::size_t numClasses_ = 0; ///< Distinct (dp, pp) classes.
 };
 
 } // namespace explore

@@ -104,12 +104,12 @@ struct AcceleratorConfig
 
 /**
  * Immutable snapshot of every accelerator-derived rate the compute
- * equations read per evaluation.  The scalar evaluator re-derives
- * these from the AcceleratorConfig on every call (they are cheap);
- * the batched sweep kernels (core::SweepTermCache) capture them once
- * and reuse them across millions of grid points.  Every field is the
- * bit-exact result of the corresponding helper below, so a
- * snapshot-based evaluation reproduces the scalar path exactly.
+ * equations read per evaluation.  core::AmpedModel::evaluate
+ * re-derives these from the AcceleratorConfig per layer (they are
+ * cheap); core::SweepTermCache captures them once and reuses them for
+ * every forward-compute and weight-update sum it primes.  Every field
+ * is the bit-exact result of the corresponding helper below, so the
+ * cached sums carry the bits evaluate()'s per-layer loops produce.
  */
 struct ComputeRateSnapshot
 {

@@ -53,9 +53,7 @@ SystemConfig::snapshot() const
     snap.numNodes = numNodes;
     snap.interIsPooledFabric = interIsPooledFabric;
     snap.intraLink = intraLink;
-    // The link names match the ad-hoc LinkConfigs the scalar
-    // evaluator builds (AmpedModel::interLinkEffective and
-    // ppCommTime's hop link); names never enter the math.
+    // Names never enter the math.
     snap.interEffective = LinkConfig{"inter-effective", interLatency(),
                                      perStreamInterBandwidth()};
     snap.interHop =

@@ -98,13 +98,12 @@ struct SystemConfig
 
 /**
  * Immutable snapshot of every system-derived link parameter the
- * communication equations read per evaluation.  The scalar evaluator
- * re-derives these per call — including re-constructing the
- * "inter-effective" and "inter-hop" LinkConfigs (a heap-allocated
- * name string each) on every sweep point.  The batched sweep kernels
- * capture them once; every field is the bit-exact result of the
- * corresponding SystemConfig accessor, so snapshot-based evaluation
- * reproduces the scalar path exactly.
+ * communication equations read per evaluation.  core::AmpedModel
+ * captures one at construction, so its TP, PP, MoE and gradient
+ * terms build no LinkConfig (a heap-allocated name string each) per
+ * call; evaluate(), the sweep kernel and the optimizer's screen all
+ * read it through those terms.  Every field is the bit-exact result
+ * of the corresponding SystemConfig accessor.
  */
 struct SystemSnapshot
 {

@@ -24,10 +24,10 @@ enum class Kind : unsigned char
 };
 
 /** Accepted values (of each entry, for a list): any, finite and > 0,
- *  finite and >= 0, or >= 1. */
+ *  finite and >= 0, >= 1, or in (0, 1]. */
 enum class Range : unsigned char
 {
-    any, positive, nonNegative, atLeastOne
+    any, positive, nonNegative, atLeastOne, unitInterval
 };
 
 /** One row of the field table. */
@@ -59,16 +59,26 @@ constexpr Field kFields[] = {
      Range::positive},
     {"microbatch", Kind::number, "0", "microbatch size (0 = B/(DP*PP))",
      Range::nonNegative},
-    {"eff-a", Kind::number, "0.9", "efficiency curve parameter a"},
-    {"eff-b", Kind::number, "30", "efficiency curve parameter b"},
-    {"eff-floor", Kind::number, "0.25", "efficiency floor"},
-    {"bubble-r", Kind::number, "0.1", "bubble-overlap ratio R"},
-    {"tp-intra", Kind::integer, "1", "tensor parallel, intra-node"},
-    {"pp-intra", Kind::integer, "1", "pipeline parallel, intra-node"},
-    {"dp-intra", Kind::integer, "1", "data parallel, intra-node"},
-    {"tp-inter", Kind::integer, "1", "tensor parallel, inter-node"},
-    {"pp-inter", Kind::integer, "1", "pipeline parallel, inter-node"},
-    {"dp-inter", Kind::integer, "1", "data parallel, inter-node"},
+    {"eff-a", Kind::number, "0.9", "efficiency curve parameter a",
+     Range::unitInterval},
+    {"eff-b", Kind::number, "30", "efficiency curve parameter b",
+     Range::positive},
+    {"eff-floor", Kind::number, "0.25", "efficiency floor",
+     Range::nonNegative},
+    {"bubble-r", Kind::number, "0.1", "bubble-overlap ratio R",
+     Range::nonNegative},
+    {"tp-intra", Kind::integer, "1", "tensor parallel, intra-node",
+     Range::atLeastOne},
+    {"pp-intra", Kind::integer, "1", "pipeline parallel, intra-node",
+     Range::atLeastOne},
+    {"dp-intra", Kind::integer, "1", "data parallel, intra-node",
+     Range::atLeastOne},
+    {"tp-inter", Kind::integer, "1", "tensor parallel, inter-node",
+     Range::atLeastOne},
+    {"pp-inter", Kind::integer, "1", "pipeline parallel, inter-node",
+     Range::atLeastOne},
+    {"dp-inter", Kind::integer, "1", "data parallel, inter-node",
+     Range::atLeastOne},
     {"batches", Kind::numberList, "",
      "comma-separated batch sizes to search (empty = just --batch)",
      Range::positive},
@@ -76,7 +86,8 @@ constexpr Field kFields[] = {
      Range::atLeastOne},
     {"top", Kind::integer, "5", "how many strategies to return",
      Range::atLeastOne},
-    {"ep", Kind::integer, "1", "expert-parallel degree N_EP"},
+    {"ep", Kind::integer, "1", "expert-parallel degree N_EP",
+     Range::atLeastOne},
     {"memory-check", Kind::flag, "",
      "drop mappings that exceed device memory"},
     {"memory-check", Kind::flag, "",
@@ -144,6 +155,7 @@ inRange(Range range, double value)
       case Range::nonNegative:
         return std::isfinite(value) && value >= 0.0;
       case Range::atLeastOne: return value >= 1.0;
+      case Range::unitInterval: return value > 0.0 && value <= 1.0;
     }
     return false;
 }
@@ -152,7 +164,8 @@ inRange(Range range, double value)
 constexpr const char *kKindText[] = {
     "a string", "an integer", "a number", "a boolean",
     "an array of numbers", "an object"};
-constexpr const char *kRangeText[] = {"", "> 0", ">= 0", ">= 1"};
+constexpr const char *kRangeText[] = {"", "> 0", ">= 0", ">= 1",
+                                      "in (0, 1]"};
 
 /** A `--batches` comma list ("2048,4096,8192") as a number array. */
 obs::Json

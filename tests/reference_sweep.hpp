@@ -1,13 +1,15 @@
 /**
  * @file
  * The tests' oracle for the sweep kernel: a serial loop of
- * core::AmpedModel::evaluate over a (mapping x job) grid in
- * mapping-major order, classifying each point the way
- * Explorer::sweepJobs must:
+ * testutil::referenceEvaluate (reference_model.hpp, the per-layer
+ * evaluation that shares no assembly with the kernel) over a
+ * (mapping x job) grid in mapping-major order, classifying each point
+ * the way Explorer::sweepJobs must:
  *
  *  - with a memory model, the microbatch size and the fit check run
  *    first, and a point that does not fit is memory-skipped;
- *  - a UserError from evaluate() (or the fit check) skips the point;
+ *  - a UserError from the evaluation (or the fit check) skips the
+ *    point;
  *  - any other exception, or a non-finite total time, NaN-pins the
  *    point and logs one warning line.
  *
@@ -35,6 +37,7 @@
 #include "common/log.hpp"
 #include "core/memory_model.hpp"
 #include "explore/explorer.hpp"
+#include "reference_model.hpp"
 
 namespace amped {
 namespace testutil {
@@ -57,8 +60,8 @@ referenceNanResult()
 }
 
 /**
- * Evaluates every grid point with AmpedModel::evaluate, one at a
- * time, on the calling thread.
+ * Evaluates every grid point with referenceEvaluate, one at a time,
+ * on the calling thread.
  *
  * @param memory_model Optional memory screen (nullptr = off).
  */
@@ -85,7 +88,7 @@ referenceSweep(const core::AmpedModel &model,
                         continue;
                     }
                 }
-                entry.result = model.evaluate(m, job);
+                entry.result = referenceEvaluate(model, m, job);
                 if (std::isfinite(entry.result.totalTime)) {
                     out.entries.push_back(std::move(entry));
                     continue;

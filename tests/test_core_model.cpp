@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/amped_model.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "net/system_config.hpp"
+#include "reference_model.hpp"
 
 namespace amped {
 namespace core {
@@ -375,6 +379,76 @@ TEST(AmpedModelTest, PipelineDeeperThanLayersIsAllowed)
     // PP = 8 > L = 4.
     EXPECT_NO_THROW(model.evaluate(
         mapping::makeMapping(1, 1, 1, 1, 8, 1), testJob()));
+}
+
+TEST(AmpedModelTest, EvaluateMatchesTheReferenceOnEveryPreset)
+{
+    // evaluate() assembles through AmpedModel::assemble, which the
+    // sweep kernel and the optimizer's screen share, so it is held to
+    // the per-layer reference evaluation (tests/reference_model.hpp):
+    // the same bits in every result field, or the same exception
+    // category and text.  Every model preset, every mapping of the
+    // test system plus one that does not fit it, with default and
+    // with non-default options; the jobs mix feasible points, bad
+    // microbatching, an invalid batch and a non-finite batch count.
+    const std::vector<model::TransformerConfig> presets = {
+        model::presets::tinyTest(),       model::presets::minGpt85M(),
+        model::presets::minGptPipeline(), model::presets::gpt3_175B(),
+        model::presets::megatron145B(),   model::presets::megatron310B(),
+        model::presets::megatron530B(),   model::presets::megatron1T(),
+        model::presets::gpipeTransformer24(),
+        model::presets::glamMoE()};
+    ModelOptions tuned;
+    tuned.bubbleOverlapRatio = 0.3;
+    tuned.zeroDpOverhead = 0.5;
+    tuned.backwardComputeMultiplier = 2.5;
+    tuned.backwardCommMultiplier = 1.5;
+    tuned.ppCommMultiplier = 2.0;
+    tuned.hierarchicalGradAllReduce = false;
+    tuned.intraTopologyFactorOverride = 1.0;
+    tuned.enableMoeComm = false;
+
+    auto mappings = mapping::MappingSpace(testSystem()).enumerate();
+    mappings.push_back(mapping::makeMapping(1, 1, 1, 1, 1, 4));
+    std::vector<TrainingJob> jobs;
+    for (const double batch : {1.0, 3.5, 64.0, 2048.0, -8.0}) {
+        TrainingJob job;
+        job.batchSize = batch;
+        jobs.push_back(job);
+    }
+    jobs[2].microbatching.microbatchSizeOverride = 2.0;
+    jobs[3].numBatchesOverride = 100.0;
+    jobs.push_back(jobs[3]);
+    jobs.back().numBatchesOverride =
+        std::numeric_limits<double>::infinity();
+
+    std::size_t results = 0;
+    std::size_t throws = 0;
+    for (const auto &cfg : presets) {
+        for (const ModelOptions &options : {ModelOptions{}, tuned}) {
+            const AmpedModel model(cfg, hw::presets::a100(),
+                                   hw::MicrobatchEfficiency(0.8, 4.0),
+                                   testSystem(), options);
+            for (const auto &m : mappings) {
+                for (const auto &job : jobs) {
+                    EXPECT_EQ(testutil::evaluateMismatch(model, m, job),
+                              "")
+                        << cfg.name << ", " << m.toString()
+                        << ", batch " << job.batchSize;
+                    try {
+                        (void)model.evaluate(m, job);
+                        ++results;
+                    } catch (const std::exception &) {
+                        ++throws;
+                    }
+                }
+            }
+        }
+    }
+    // Both endings must occur, or the comparison proves less than it
+    // claims.
+    EXPECT_GT(results, 0u);
+    EXPECT_GT(throws, 0u);
 }
 
 } // namespace

@@ -169,7 +169,9 @@ drawGrid(std::mt19937 &rng,
 
 /**
  * Sweeps one grid with the reference loop and with the Explorer at
- * 1, 2 and 8 threads, asserting byte-identity; returns the reference.
+ * 1, 2 and 8 threads, asserting byte-identity, and evaluates every
+ * point with AmpedModel::evaluate against the reference evaluation;
+ * returns the reference sweep.
  */
 SweepResult
 expectGridMatchesReference(
@@ -188,8 +190,15 @@ expectGridMatchesReference(
             runExplorer(model, mem, threads, mappings, jobs, got_stderr);
         expectIdentical(ref, got, ref_stderr, got_stderr, label.c_str());
         if (::testing::Test::HasFailure())
-            break;
+            return ref;
     }
+    // evaluate() shares its assembly with the kernel, so it is held
+    // to the reference evaluation too: result bits, or the exception.
+    for (const auto &m : mappings)
+        for (const auto &job : jobs)
+            EXPECT_EQ(testutil::evaluateMismatch(model, m, job), "")
+                << "evaluate() at " << m.toString() << " batch "
+                << job.batchSize;
     return ref;
 }
 
@@ -209,54 +218,83 @@ tinyMoeConfig(std::int64_t layers, std::int64_t interval,
     return cfg;
 }
 
-TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
+/** The family a seeded grid is drawn from. */
+enum class Draw
 {
-    std::mt19937 rng(0xA3BED5EEu);
-    const auto tiny = tinyModel();
-    const auto mingpt = minGptModel();
-    // No activation recomputation: low-parallelism minGPT points
-    // overflow the tiny 4 GB device, exercising memorySkipped.
-    core::MemoryOptions screen_options;
-    screen_options.activationRecompute = false;
-    const core::MemoryModel screen(
-        model::OpCounter(model::presets::minGpt85M()),
-        hw::presets::tinyTest(), screen_options);
+    dense,     ///< tiny or minGPT, all mappings of testSystem().
+    moe,       ///< tinyMoeConfig in several layer patterns.
+    splitClass ///< Mixed device counts (split_class_draws.hpp).
+};
 
+/** One seeded grid, as forEachSeededGrid hands it out. */
+struct SeededGrid
+{
+    Draw draw = Draw::dense;
+    std::string label; ///< Names the grid in a failure message.
+    const core::AmpedModel *model = nullptr;
+    /** A memory screen for the grid's model (never nullptr). */
+    const core::MemoryModel *screen = nullptr;
+    /** Whether the property test sweeps the grid screened. */
+    bool screened = false;
+    std::vector<mapping::ParallelismConfig> mappings;
+    std::vector<core::TrainingJob> jobs;
+};
+
+/**
+ * Draws the seeded grids of the differential tests, each family on a
+ * seeded loop of its own, and hands each grid to @p visit; stops after
+ * the first grid whose visit records a test failure.
+ *
+ *  - 200 dense grids, alternating tiny and minGPT; every other minGPT
+ *    grid is screened.
+ *  - 36 mixture-of-experts grids: a dense and an MoE layer class (one
+ *    class at interval 1) in several layer patterns, with and without
+ *    MoE communication, so they pin the per-class forward,
+ *    weight-update, MoE and gradient sums; every other one screened.
+ *  - 60 always-screened minGPT grids whose mapping lists mix two
+ *    device counts.  Each draw picks from one (dp, pp) class that
+ *    holds two shapes, and the capacities sit near the fit boundary,
+ *    so the class's verdicts differ between its shapes: a verdict
+ *    taken from the wrong shape moves a point between skipped and
+ *    memorySkipped.
+ *
+ * The screens leave out activation recomputation, so low-parallelism
+ * minGPT points overflow the tiny device.
+ */
+template <class Visit>
+void
+forEachSeededGrid(Visit &&visit)
+{
     const auto all_mappings =
         mapping::MappingSpace(testSystem()).enumerate();
     ASSERT_GT(all_mappings.size(), 4u);
+    core::MemoryOptions screen_options;
+    screen_options.activationRecompute = false;
 
-    std::size_t total_feasible = 0;
-    std::size_t total_skipped = 0;
-    std::size_t total_memory = 0;
-    std::size_t total_failed = 0;
-    const auto tally = [&](const SweepResult &ref) {
-        total_feasible += ref.entries.size() - ref.failed;
-        total_skipped += ref.skipped;
-        total_memory += ref.memorySkipped;
-        total_failed += ref.failed;
-    };
+    std::mt19937 rng(0xA3BED5EEu);
+    const auto tiny = tinyModel();
+    const auto mingpt = minGptModel();
+    const core::MemoryModel tiny_screen(
+        model::OpCounter(model::presets::tinyTest()),
+        hw::presets::tinyTest(), screen_options);
+    const core::MemoryModel mingpt_screen(
+        model::OpCounter(model::presets::minGpt85M()),
+        hw::presets::tinyTest(), screen_options);
     for (int grid = 0; grid < 200; ++grid) {
+        SeededGrid g;
         const bool use_mingpt = grid % 2 == 1;
-        const auto &model = use_mingpt ? mingpt : tiny;
-        const core::MemoryModel *mem =
-            use_mingpt && grid % 4 == 1 ? &screen : nullptr;
-        std::vector<mapping::ParallelismConfig> mappings;
-        std::vector<core::TrainingJob> jobs;
-        drawGrid(rng, all_mappings, mappings, jobs);
-        tally(expectGridMatchesReference(model, mem, mappings, jobs));
+        g.label = "grid " + std::to_string(grid);
+        g.model = use_mingpt ? &mingpt : &tiny;
+        g.screen = use_mingpt ? &mingpt_screen : &tiny_screen;
+        g.screened = use_mingpt && grid % 4 == 1;
+        drawGrid(rng, all_mappings, g.mappings, g.jobs);
+        visit(g);
         if (::testing::Test::HasFailure())
-            FAIL() << "first mismatch at grid " << grid;
+            return;
     }
 
-    // Mixture-of-experts models, on a seeded loop of their own so the
-    // draws above keep their inputs.  A dense model has one layer
-    // class; these have a dense and an MoE class (one class at
-    // interval 1) in several layer patterns, so they pin the
-    // per-class forward, weight-update, MoE and gradient sums.
     std::mt19937 moe_rng(0x3E0E6A1Du);
     int moe_grid = 0;
-    std::size_t moe_feasible = 0;
     for (const std::int64_t layers : {4, 7, 12}) {
         for (const std::int64_t interval : {1, 2, 3}) {
             for (const std::int64_t top_k : {1, 2}) {
@@ -272,36 +310,30 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
                     const core::MemoryModel moe_screen(
                         model::OpCounter(cfg), hw::presets::tinyTest(),
                         screen_options);
-                    std::vector<mapping::ParallelismConfig> mappings;
-                    std::vector<core::TrainingJob> jobs;
-                    drawGrid(moe_rng, all_mappings, mappings, jobs);
-                    const auto ref = expectGridMatchesReference(
-                        model, moe_grid % 2 == 1 ? &moe_screen : nullptr,
-                        mappings, jobs);
-                    tally(ref);
-                    moe_feasible += ref.entries.size() - ref.failed;
+                    SeededGrid g;
+                    g.draw = Draw::moe;
+                    g.label = "MoE grid " + std::to_string(moe_grid) +
+                              " (" + std::to_string(layers) +
+                              " layers, interval " +
+                              std::to_string(interval) + ", top " +
+                              std::to_string(top_k) + ", MoE comm " +
+                              std::to_string(moe_comm) + ")";
+                    g.model = &model;
+                    g.screen = &moe_screen;
+                    g.screened = moe_grid % 2 == 1;
+                    drawGrid(moe_rng, all_mappings, g.mappings, g.jobs);
+                    visit(g);
                     if (::testing::Test::HasFailure())
-                        FAIL() << "first mismatch at MoE grid " << moe_grid
-                               << " (" << layers << " layers, interval "
-                               << interval << ", top " << top_k
-                               << ", MoE comm " << moe_comm << ")";
+                        return;
                     ++moe_grid;
                 }
             }
         }
     }
 
-    // Mapping lists mixing two device counts, on a seeded loop of
-    // their own, always screened.  Each draw picks from one (dp, pp)
-    // class that holds two shapes (split_class_draws.hpp), and the
-    // capacities sit near the fit boundary, so the class's verdicts
-    // differ between its shapes: a verdict taken from the wrong shape
-    // moves a point between skipped and memorySkipped.
     const auto mixed_mappings =
         testutil::mixedDeviceCountMappings(testSystem());
     std::mt19937 mixed_rng(0x5B1A7E55u);
-    std::size_t split_grids = 0;
-    std::size_t mixed_memory = 0;
     for (int grid = 0; grid < 60; ++grid) {
         static const double kCapacities[] = {2.5e9, 3e9, 4e9};
         auto device = hw::presets::tinyTest();
@@ -309,19 +341,48 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
         const core::MemoryModel mixed_screen(
             model::OpCounter(model::presets::minGpt85M()), device,
             screen_options);
-        std::vector<mapping::ParallelismConfig> mappings;
-        std::vector<core::TrainingJob> jobs;
+        SeededGrid g;
+        g.draw = Draw::splitClass;
+        g.label = "mixed grid " + std::to_string(grid);
+        g.model = &mingpt;
+        g.screen = &mixed_screen;
+        g.screened = true;
         drawGrid(mixed_rng,
                  testutil::splitClassPool(mixed_rng, mixed_mappings),
-                 mappings, jobs);
-        split_grids += testutil::splitsAClass(mappings) ? 1 : 0;
-        const auto ref =
-            expectGridMatchesReference(mingpt, &mixed_screen, mappings, jobs);
-        tally(ref);
-        mixed_memory += ref.memorySkipped;
+                 g.mappings, g.jobs);
+        visit(g);
         if (::testing::Test::HasFailure())
-            FAIL() << "first mismatch at mixed grid " << grid;
+            return;
     }
+}
+
+TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
+{
+    std::size_t total_feasible = 0;
+    std::size_t total_skipped = 0;
+    std::size_t total_memory = 0;
+    std::size_t total_failed = 0;
+    std::size_t moe_feasible = 0;
+    std::size_t split_grids = 0;
+    std::size_t mixed_memory = 0;
+    forEachSeededGrid([&](const SeededGrid &g) {
+        const auto ref = expectGridMatchesReference(
+            *g.model, g.screened ? g.screen : nullptr, g.mappings, g.jobs);
+        if (::testing::Test::HasFailure())
+            FAIL() << "first mismatch at " << g.label;
+        total_feasible += ref.entries.size() - ref.failed;
+        total_skipped += ref.skipped;
+        total_memory += ref.memorySkipped;
+        total_failed += ref.failed;
+        if (g.draw == Draw::moe)
+            moe_feasible += ref.entries.size() - ref.failed;
+        if (g.draw == Draw::splitClass) {
+            split_grids += testutil::splitsAClass(g.mappings) ? 1 : 0;
+            mixed_memory += ref.memorySkipped;
+        }
+    });
+    if (::testing::Test::HasFailure())
+        return;
     // The generator must actually exercise every outcome class, or
     // the byte-identity assertions above prove less than they claim.
     EXPECT_GT(total_feasible, 0u);
@@ -331,6 +392,93 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(moe_feasible, 0u);
     EXPECT_GT(split_grids, 0u);
     EXPECT_GT(mixed_memory, 0u);
+}
+
+TEST(ExploreBatchTest, ScreenKeyIsTheExactTotalTime)
+{
+    // The optimizer's screen ranks a point by
+    // SweepKernel::evaluatePoint's Outcome::rankKey.  With no margin,
+    // that key must be the point's exact total time: the bits
+    // evaluatePoints reports (and the reference evaluation computes)
+    // for a feasible point, +infinity for a point that NaN-pins, with
+    // the same classification.  Every seeded grid runs with and
+    // without a memory screen.
+    const double inf = std::numeric_limits<double>::infinity();
+    std::size_t feasible = 0;
+    std::size_t failed = 0;
+    std::size_t over_memory = 0;
+    forEachSeededGrid([&](const SeededGrid &g) {
+        for (const core::MemoryModel *mem :
+             {g.screen, static_cast<const core::MemoryModel *>(nullptr)}) {
+            const std::string label =
+                g.label + (mem != nullptr ? " screened" : "");
+            testing::internal::CaptureStderr();
+            const SweepResult ref = testutil::referenceSweep(
+                *g.model, mem, g.mappings, g.jobs);
+            (void)testing::internal::GetCapturedStderr();
+            const SweepKernel kernel(*g.model, mem, g.mappings, g.jobs,
+                                     2);
+            ASSERT_EQ(kernel.primeStatus(), RunStatus::Completed);
+            std::vector<std::size_t> indices(kernel.numPoints());
+            for (std::size_t i = 0; i < indices.size(); ++i)
+                indices[i] = i;
+            std::vector<SweepKernel::Outcome> exact;
+            ASSERT_EQ(kernel.evaluatePoints(indices, exact, 2),
+                      RunStatus::Completed);
+
+            std::size_t next_entry = 0; // ref is mapping-major too.
+            std::size_t skipped = 0;
+            std::size_t memory_skipped = 0;
+            for (std::size_t m = 0; m < g.mappings.size(); ++m) {
+                for (std::size_t j = 0; j < g.jobs.size(); ++j) {
+                    const SweepKernel::Outcome &want =
+                        exact[m * g.jobs.size() + j];
+                    SweepKernel::Outcome screened;
+                    kernel.evaluatePoint(m, j, screened);
+                    ASSERT_EQ(screened.status, want.status)
+                        << label << ", mapping " << m << ", job " << j;
+                    const double key = screened.rankKey();
+                    switch (want.status) {
+                    case PointStatus::feasible:
+                        ASSERT_LT(next_entry, ref.entries.size());
+                        EXPECT_EQ(bits(key), bits(want.result.totalTime))
+                            << label << ", mapping " << m << ", job "
+                            << j;
+                        EXPECT_EQ(bits(key),
+                                  bits(ref.entries[next_entry++]
+                                           .result.totalTime))
+                            << label << ", mapping " << m << ", job "
+                            << j;
+                        ++feasible;
+                        break;
+                    case PointStatus::failedPoint:
+                        ASSERT_LT(next_entry, ref.entries.size());
+                        EXPECT_TRUE(std::isnan(
+                            ref.entries[next_entry++].result.totalTime))
+                            << label;
+                        EXPECT_EQ(key, inf) << label;
+                        ++failed;
+                        break;
+                    case PointStatus::infeasible:
+                        ++skipped;
+                        break;
+                    case PointStatus::overMemory:
+                        ++memory_skipped;
+                        ++over_memory;
+                        break;
+                    }
+                }
+            }
+            EXPECT_EQ(next_entry, ref.entries.size()) << label;
+            EXPECT_EQ(skipped, ref.skipped) << label;
+            EXPECT_EQ(memory_skipped, ref.memorySkipped) << label;
+            if (::testing::Test::HasFailure())
+                FAIL() << "first mismatch at " << label;
+        }
+    });
+    EXPECT_GT(feasible, 0u);
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(over_memory, 0u);
 }
 
 TEST(ExploreBatchTest, TermIdsAreTheSameAtAnyWorkerCount)
@@ -425,11 +573,15 @@ TEST(ExploreBatchTest, ModelFlopsMatchOpCounterBitwise)
                     bad_ids.push_back(cache.registerModelFlops(batch));
                 ASSERT_EQ(cache.prime(1), RunStatus::Completed);
 
+                using Recorded = core::SweepTermCache::Outcome;
                 const model::OpCounter &counter = model.opCounter();
-                for (std::size_t i = 0; i < batches.size(); ++i)
-                    EXPECT_EQ(bits(cache.modelFlopsPerBatch(ids[i])),
+                for (std::size_t i = 0; i < batches.size(); ++i) {
+                    const auto &entry = cache.modelFlops(ids[i]);
+                    EXPECT_EQ(entry.outcome, Recorded::ok) << label;
+                    EXPECT_EQ(bits(entry.value),
                               bits(counter.modelFlopsPerBatch(batches[i])))
                         << label << " batch " << batches[i];
+                }
                 for (std::size_t i = 0; i < bad_batches.size(); ++i) {
                     std::string want;
                     try {
@@ -438,13 +590,10 @@ TEST(ExploreBatchTest, ModelFlopsMatchOpCounterBitwise)
                         want = e.what();
                     }
                     ASSERT_FALSE(want.empty()) << label;
-                    try {
-                        (void)cache.modelFlopsPerBatch(bad_ids[i]);
-                        ADD_FAILURE() << label << ": batch "
-                                      << bad_batches[i] << " did not throw";
-                    } catch (const UserError &e) {
-                        EXPECT_EQ(std::string(e.what()), want) << label;
-                    }
+                    const auto &entry = cache.modelFlops(bad_ids[i]);
+                    EXPECT_EQ(entry.outcome, Recorded::userError)
+                        << label << ": batch " << bad_batches[i];
+                    EXPECT_EQ(entry.message, want) << label;
                 }
             }
         }

@@ -13,9 +13,9 @@
  *     mapping lists mix two device counts.  Counters must be
  *     thread-count-invariant, partition the grid exactly and match
  *     brute force's memory and infeasible counts; any grid where the
- *     bound pruned points while the ranking still matches brute
- *     force is direct evidence the bound never discarded a true
- *     winner.  Two larger grids, one of them NaN-pinned throughout,
+ *     screen's keys pruned points while the ranking still matches
+ *     brute force is direct evidence the prune never discarded a
+ *     true winner.  Two larger grids, one of them NaN-pinned throughout,
  *     visit thousands of survivors across the mapping heaps.
  *  2. Degenerate searches.  Infeasible-everywhere grids, one-device
  *     clusters, prime device counts and expert-parallel requests on
@@ -295,9 +295,9 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     }
 
     // Mixture-of-experts models, on a seeded loop of their own so the
-    // draws above keep their inputs: the bound reads the kernel's
-    // per-class MoE and gradient sums, which a dense model (one layer
-    // class) cannot pin.
+    // draws above keep their inputs: the screen's keys read the
+    // kernel's per-class MoE and gradient sums, which a dense model
+    // (one layer class) cannot pin.
     std::mt19937 moe_rng(0x0E5E7A11u);
     int moe_grid = 0;
     std::size_t moe_feasible = 0;
@@ -373,7 +373,7 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     EXPECT_GT(mixed_memory, 0u);
     // The generator must exercise every disposition class — in
     // particular prunedByBound > 0 together with the bit-identical
-    // rankings above is the direct proof that the bound never
+    // rankings above is the direct proof that the prune never
     // discarded a true winner.
     EXPECT_GT(totals.feasible, 0u);
     EXPECT_GT(totals.prunedByMemory, 0u);

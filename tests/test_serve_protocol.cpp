@@ -224,6 +224,46 @@ const BadInputCase kBadInputs[] = {
      "{\"id\":8,\"method\":\"sweep\",\"params\":{\"model\":\"tiny\","
      "\"accel\":\"tiny\",\"nodes\":2,\"per-node\":0,\"batch\":64}}",
      "error", "params.per-node must be >= 1, got 0", false},
+    // The efficiency, bubble, degree and expert-parallel fields name
+    // the request field, not the model's parameter.
+    {"eval-eff-a-minus-1",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,\"eff-a\":-1}}",
+     "error", "params.eff-a must be in (0, 1], got -1", false},
+    {"eval-eff-a-1.5",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,\"eff-a\":1.5}}",
+     "error", "params.eff-a must be in (0, 1], got 1.5", false},
+    {"eval-eff-b-0",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,\"eff-b\":0}}",
+     "error", "params.eff-b must be > 0, got 0", false},
+    {"eval-eff-floor-minus-1",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,"
+     "\"eff-floor\":-1}}",
+     "error", "params.eff-floor must be >= 0, got -1", false},
+    {"eval-bubble-r-minus-1",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":2,"
+     "\"bubble-r\":-1}}",
+     "error", "params.bubble-r must be >= 0, got -1", false},
+    {"eval-tp-intra-0",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":0,\"dp-inter\":2}}",
+     "error", "params.tp-intra must be >= 1, got 0", false},
+    {"eval-dp-inter-minus-2",
+     "{\"id\":8,\"method\":\"eval\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"tp-intra\":4,\"dp-inter\":-2}}",
+     "error", "params.dp-inter must be >= 1, got -2", false},
+    {"sweep-eff-a-minus-1",
+     "{\"id\":8,\"method\":\"sweep\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"eff-a\":-1}}",
+     "error", "params.eff-a must be in (0, 1], got -1", false},
+    {"optimize-ep-0",
+     "{\"id\":8,\"method\":\"optimize\",\"params\":{" TINY_CLUSTER
+     ",\"batch\":64,\"ep\":0}}",
+     "error", "params.ep must be >= 1, got 0", false},
 };
 
 #undef TINY_CLUSTER

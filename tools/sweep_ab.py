@@ -8,9 +8,12 @@ commit and one at HEAD.  Each side runs `BIN --sweep-bench-out FILE`
 ten times, in pairs that alternate which side runs first.  One run
 times the 1,008,000-point Case Study I sweep (the last element of the
 record's `runs` list), from record schema 4 on the ranking of its rows
-(the seconds in the record's `rank` object) and, from schema 3 on,
+(the seconds in the record's `rank` object), from schema 3 on
 `amped optimize` on the same grid (the median seconds in the record's
-`optimize` object).
+`optimize` object) and, from schema 5 on, AmpedModel::evaluate over
+Case Study I points (the median pass's seconds in the record's
+`evaluate` object), the path each serve `eval` and `report` request
+takes.
 
 Each timing fails the gate (exit 1) only when both hold:
   - HEAD's median seconds exceed the base's by more than 25 %, the
@@ -36,7 +39,7 @@ MIN_SLOWER_PAIRS = 9
 
 
 # Gated timings, each with the record schema that added it.
-TIMINGS = {"sweep": 1, "rank": 4, "optimize": 3}
+TIMINGS = {"sweep": 1, "rank": 4, "optimize": 3, "evaluate": 5}
 
 
 def run_seconds(binary, record_path):
@@ -45,7 +48,7 @@ def run_seconds(binary, record_path):
     with open(record_path) as record:
         data = json.load(record)
     seconds = {"sweep": float(data["runs"][-1]["seconds"])}
-    for name in ("rank", "optimize"):
+    for name in ("rank", "optimize", "evaluate"):
         found = data.get(name)
         seconds[name] = float(found["seconds"]) if found else None
     return seconds
@@ -57,8 +60,8 @@ def gate(name, pairs):
     head_median = statistics.median(head for _, head in pairs)
     change = head_median / base_median - 1.0
     slower = sum(1 for base, head in pairs if head > base)
-    print(f"{name}: median base {base_median:.3f} s, head "
-          f"{head_median:.3f} s ({change:+.1%}); head slower in "
+    print(f"{name}: median base {base_median:.4f} s, head "
+          f"{head_median:.4f} s ({change:+.1%}); head slower in "
           f"{slower}/{len(pairs)} pairs")
     if change > BOUND and slower >= MIN_SLOWER_PAIRS:
         print(f"sweep_ab: FAIL: {name}: head is more than {BOUND:.0%} "
@@ -94,8 +97,8 @@ def main(argv):
                 head = seconds["head"][name]
                 if base is not None and head is not None:
                     pairs[name].append((base, head))
-                    parts.append(f"{name} base {base:.3f} s, head "
-                                 f"{head:.3f} s")
+                    parts.append(f"{name} base {base:.4f} s, head "
+                                 f"{head:.4f} s")
             print(f"pair {pair + 1} ({order[0]} first): "
                   + "; ".join(parts), flush=True)
 
